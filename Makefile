@@ -1,8 +1,12 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: check test vet test-race race bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
+.PHONY: check fmt test vet test-race race bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
 
-check: test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills  ## the default CI gate: build + tests + vet + race detector + chaos drills
+check: fmt test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills  ## the default CI gate: gofmt + build + tests + vet + race detector + chaos drills
+
+fmt:             ## gofmt gate over tracked Go files (git ls-files skips build dirs); fails if any needs formatting
+	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
+	if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 drills:          ## fast chaos-drill smoke: every catalog scenario + unit drills under -race
 	go test -race -run Drill -count=1 ./internal/slurm/ ./internal/core/ ./internal/chaos/ ./internal/fleet/

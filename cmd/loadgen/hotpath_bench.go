@@ -277,11 +277,11 @@ func runHotpathBench(requests int, benchOut string, minAllocRatio, maxTraceAlloc
 
 	if benchOut != "" {
 		rep := hotpathReport{
-			Kind:        "hotpath",
-			Scenario:    "smoke",
-			GeneratedAt: time.Now().UTC(),
-			Widgets:     hotpathWidgets,
-			Users:       len(users),
+			Kind:            "hotpath",
+			Scenario:        "smoke",
+			GeneratedAt:     time.Now().UTC(),
+			Widgets:         hotpathWidgets,
+			Users:           len(users),
 			Reencode:        reencode,
 			EncodeOnce:      encodeOnce,
 			Revalidate:      revalidate,

@@ -44,43 +44,12 @@ const (
 	benchChurnJobs = 5
 )
 
-// countingRunner counts upstream commands by daemon. It sits beneath the
-// server's own metered runner, so it sees exactly the commands that reached
-// the simulated slurmctld/slurmdbd — cache hits and degraded fallbacks never
-// get here.
-type countingRunner struct {
-	next slurmcli.Runner
-	mu   sync.Mutex
-	byD  map[string]int64
-}
-
-func newCountingRunner(next slurmcli.Runner) *countingRunner {
-	return &countingRunner{next: next, byD: make(map[string]int64)}
-}
-
-func (c *countingRunner) Run(name string, args ...string) (string, error) {
-	c.mu.Lock()
-	c.byD[slurmcli.DaemonFor(name)]++
-	c.mu.Unlock()
-	return c.next.Run(name, args...)
-}
-
-func (c *countingRunner) snapshot() map[string]int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make(map[string]int64, len(c.byD))
-	for k, v := range c.byD {
-		out[k] = v
-	}
-	return out
-}
-
 // pushStack is one phase's isolated dashboard: fresh workload (same seed, so
 // phases are comparable), counting runner, news and dashboard listeners.
 type pushStack struct {
 	env     *workload.Env
 	server  *core.Server
-	rpcs    *countingRunner
+	rpcs    *slurmcli.CountingRunner
 	baseURL string
 	close   func()
 }
@@ -97,7 +66,7 @@ func buildPushStackConfig(cfg core.Config) (*pushStack, error) {
 	if err != nil {
 		return nil, fmt.Errorf("workload: %w", err)
 	}
-	rpcs := newCountingRunner(env.Runner)
+	rpcs := slurmcli.NewCountingRunner(env.Runner)
 	env.Runner = rpcs
 
 	newsLn, err := net.Listen("tcp", "127.0.0.1:0")
@@ -222,7 +191,7 @@ func pollPhase(clients, rounds int, interval time.Duration) (pushPhase, error) {
 	}
 	col := newCollector()
 	rng := rand.New(rand.NewSource(benchChurnSeed))
-	before := st.rpcs.snapshot()
+	before := st.rpcs.Snapshot()
 	for round := 0; round < rounds; round++ {
 		var wg sync.WaitGroup
 		for _, b := range browsers {
@@ -237,7 +206,7 @@ func pollPhase(clients, rounds int, interval time.Duration) (pushPhase, error) {
 		st.env.Clock.Advance(interval)
 		st.env.Cluster.Ctl.Tick()
 	}
-	return phaseFromCollector("poll", clients, col, rpcDelta(st.rpcs.snapshot(), before)), nil
+	return phaseFromCollector("poll", clients, col, rpcDelta(st.rpcs.Snapshot(), before)), nil
 }
 
 // ssePhase runs the push phase: clients browsers hold event streams while the
@@ -260,7 +229,7 @@ func ssePhase(clients, rounds int, interval time.Duration) (pushPhase, []time.Du
 	)
 	browsers := make([]*browser.Browser, clients)
 	streams := make([]*browser.EventStream, clients)
-	before := st.rpcs.snapshot()
+	before := st.rpcs.Snapshot()
 	for i := range browsers {
 		browsers[i] = browser.New(user, st.baseURL, httpc, st.env.Clock)
 		stream, err := browsers[i].OpenEventStream(browser.HomepageWidgets(), func(push.Event) {
@@ -299,7 +268,7 @@ func ssePhase(clients, rounds int, interval time.Duration) (pushPhase, []time.Du
 		}
 		wg.Wait()
 	}
-	delta := rpcDelta(st.rpcs.snapshot(), before)
+	delta := rpcDelta(st.rpcs.Snapshot(), before)
 	phase := phaseFromCollector("sse", clients, col, delta)
 	hub := st.server.PushHub().Stats()
 	phase.DeliveredEvents = hub.Delivered

@@ -5,10 +5,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 func BenchmarkFetchHit(b *testing.B) {
-	c := New(nil)
+	c := New(clock.Real{})
 	if _, err := c.Fetch("k", time.Hour, func() (any, error) { return 42, nil }); err != nil {
 		b.Fatal(err)
 	}
@@ -21,7 +23,7 @@ func BenchmarkFetchHit(b *testing.B) {
 }
 
 func BenchmarkFetchMiss(b *testing.B) {
-	c := New(nil)
+	c := New(clock.Real{})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("k%d", i)
@@ -32,7 +34,7 @@ func BenchmarkFetchMiss(b *testing.B) {
 }
 
 func BenchmarkFetchHitParallel(b *testing.B) {
-	c := New(nil)
+	c := New(clock.Real{})
 	if _, err := c.Fetch("k", time.Hour, func() (any, error) { return 42, nil }); err != nil {
 		b.Fatal(err)
 	}
@@ -47,7 +49,7 @@ func BenchmarkFetchHitParallel(b *testing.B) {
 }
 
 func BenchmarkPurge(b *testing.B) {
-	clock := newFakeClock()
+	clock := testClock()
 	c := New(clock)
 	for i := 0; i < 10_000; i++ {
 		c.Set(fmt.Sprintf("k%d", i), i, time.Hour)
@@ -103,7 +105,7 @@ var benchKeys = func() []string {
 }()
 
 func BenchmarkShardedHitParallelMultiKey(b *testing.B) {
-	c := New(nil)
+	c := New(clock.Real{})
 	for _, k := range benchKeys {
 		c.Set(k, k, time.Hour)
 	}

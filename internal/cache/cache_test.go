@@ -8,30 +8,15 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
-// fakeClock is a minimal manual clock for cache tests.
-type fakeClock struct {
-	mu  sync.Mutex
-	now time.Time
-}
-
-func newFakeClock() *fakeClock { return &fakeClock{now: time.Unix(1_000_000, 0)} }
-
-func (c *fakeClock) Now() time.Time {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.now
-}
-
-func (c *fakeClock) Advance(d time.Duration) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = c.now.Add(d)
-}
+// testClock is the simulated clock the cache tests advance by hand.
+func testClock() *clock.Sim { return clock.NewSim(time.Unix(1_000_000, 0)) }
 
 func TestFetchCachesWithinTTL(t *testing.T) {
-	clock := newFakeClock()
+	clock := testClock()
 	c := New(clock)
 	calls := 0
 	get := func() (any, error) { calls++; return calls, nil }
@@ -57,7 +42,7 @@ func TestFetchCachesWithinTTL(t *testing.T) {
 }
 
 func TestFetchDistinctKeys(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(testClock())
 	for i := 0; i < 10; i++ {
 		key := fmt.Sprintf("k%d", i)
 		want := i
@@ -72,7 +57,7 @@ func TestFetchDistinctKeys(t *testing.T) {
 }
 
 func TestFetchErrorNotCached(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(testClock())
 	boom := errors.New("slurm timeout")
 	calls := 0
 	_, err := c.Fetch("k", time.Minute, func() (any, error) { calls++; return nil, boom })
@@ -89,7 +74,7 @@ func TestFetchErrorNotCached(t *testing.T) {
 }
 
 func TestFetchSingleflightCollapsesConcurrentMisses(t *testing.T) {
-	c := New(nil) // real clock: we need real goroutine interleaving
+	c := New(clock.Real{}) // real clock: we need real goroutine interleaving
 	var computes int32
 	started := make(chan struct{})
 	release := make(chan struct{})
@@ -136,7 +121,7 @@ func TestFetchSingleflightCollapsesConcurrentMisses(t *testing.T) {
 }
 
 func TestDisabledCacheAlwaysComputes(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(testClock())
 	c.Disabled = true
 	calls := 0
 	for i := 0; i < 3; i++ {
@@ -150,7 +135,7 @@ func TestDisabledCacheAlwaysComputes(t *testing.T) {
 }
 
 func TestGetSetDelete(t *testing.T) {
-	clock := newFakeClock()
+	clock := testClock()
 	c := New(clock)
 	if _, ok := c.Get("missing"); ok {
 		t.Fatal("Get on empty cache returned ok")
@@ -171,7 +156,7 @@ func TestGetSetDelete(t *testing.T) {
 }
 
 func TestPurge(t *testing.T) {
-	clock := newFakeClock()
+	clock := testClock()
 	c := New(clock)
 	c.Set("short", 1, time.Second)
 	c.Set("long", 2, time.Hour)
@@ -185,7 +170,7 @@ func TestPurge(t *testing.T) {
 }
 
 func TestClear(t *testing.T) {
-	c := New(newFakeClock())
+	c := New(testClock())
 	c.Set("a", 1, time.Hour)
 	if _, err := c.Fetch("a", time.Hour, func() (any, error) { return 1, nil }); err != nil {
 		t.Fatal(err)
@@ -214,7 +199,7 @@ func TestTTLBoundaryProperty(t *testing.T) {
 	f := func(ttlSec uint8, stepSec uint8) bool {
 		ttl := time.Duration(int(ttlSec)%300+1) * time.Second
 		step := time.Duration(int(stepSec)%600) * time.Second
-		clock := newFakeClock()
+		clock := testClock()
 		c := New(clock)
 		calls := 0
 		get := func() (any, error) { calls++; return calls, nil }

@@ -5,13 +5,14 @@ import (
 	"time"
 
 	"ooddash/internal/cache"
+	"ooddash/internal/clock"
 )
 
 // Fetch computes a value once and serves it from cache until the TTL
 // expires — the Rails.cache.fetch pattern the dashboard backend uses in
 // front of every Slurm command.
 func ExampleCache_Fetch() {
-	c := cache.New(nil)
+	c := cache.New(clock.Real{})
 	computes := 0
 	expensiveSlurmQuery := func() (any, error) {
 		computes++

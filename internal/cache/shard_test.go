@@ -6,6 +6,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // TestShardedStatsExactness runs a deterministic concurrent workload and
@@ -17,7 +19,7 @@ func TestShardedStatsExactness(t *testing.T) {
 		perG       = 2000
 		keys       = 32
 	)
-	c := New(newFakeClock())
+	c := New(testClock())
 	var computes atomic.Int64
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
@@ -80,7 +82,7 @@ func TestShardedStatsExactness(t *testing.T) {
 // key population must land on every shard, or per-shard locking degrades
 // back to global contention.
 func TestShardDistribution(t *testing.T) {
-	c := New(nil)
+	c := New(clock.Real{})
 	hit := make(map[*shard]bool, numShards)
 	for i := 0; i < 512; i++ {
 		hit[c.shardFor(fmt.Sprintf("widget:user%d:arg%d", i%7, i))] = true

@@ -102,10 +102,6 @@ type PushConfig struct {
 	// DisableIdlePause keeps refreshing sources that have no subscribers
 	// (by default an idle source's schedule pauses until a client returns).
 	DisableIdlePause bool
-	// DisableDegradedSkip keeps the 1×TTL cadence for degraded sources (by
-	// default a source whose refresh came back degraded is stretched to
-	// 2×TTL until a fresh result returns).
-	DisableDegradedSkip bool
 }
 
 // DefaultPushWidgets are the homepage widgets the SSE stream subscribes to

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/etag"
 	"ooddash/internal/slurm"
 )
 
@@ -44,8 +45,8 @@ func TestETagMatch(t *testing.T) {
 		{"weak marker inside quotes is literal", `"W/00000000deadbeef"`, false},
 	}
 	for _, c := range cases {
-		if got := etagMatch(c.header, tag); got != c.want {
-			t.Errorf("%s: etagMatch(%q) = %v, want %v", c.name, c.header, got, c.want)
+		if got := etag.Match(c.header, tag); got != c.want {
+			t.Errorf("%s: etag.Match(%q) = %v, want %v", c.name, c.header, got, c.want)
 		}
 	}
 }
@@ -117,7 +118,7 @@ func TestConditionalWidgetRequests(t *testing.T) {
 	}
 }
 
-// etagForSprintf is the previous etagFor implementation, kept as the
+// etagForSprintf is the previous etag.For implementation, kept as the
 // micro-benchmark baseline: a hash.Hash64 allocation plus two Sprintf
 // round-trips per tag.
 func etagForSprintf(body []byte) string {
@@ -126,7 +127,7 @@ func etagForSprintf(body []byte) string {
 	return fmt.Sprintf("%q", fmt.Sprintf("%016x", h.Sum64()))
 }
 
-// TestETagForMatchesLegacy pins the rewritten etagFor to the old
+// TestETagForMatchesLegacy pins the rewritten etag.For to the old
 // implementation's exact output, so tags stored by clients before the
 // rewrite keep revalidating.
 func TestETagForMatchesLegacy(t *testing.T) {
@@ -138,8 +139,8 @@ func TestETagForMatchesLegacy(t *testing.T) {
 		[]byte(strings.Repeat("x", 4096)),
 	}
 	for _, body := range bodies {
-		if got, want := etagFor(body), etagForSprintf(body); got != want {
-			t.Errorf("etagFor(%d bytes) = %q, legacy = %q", len(body), got, want)
+		if got, want := etag.For(body), etagForSprintf(body); got != want {
+			t.Errorf("etag.For(%d bytes) = %q, legacy = %q", len(body), got, want)
 		}
 	}
 }
@@ -148,7 +149,7 @@ func BenchmarkETagFor(b *testing.B) {
 	body := []byte(strings.Repeat(`{"jobs":[{"id":1}]}`, 64))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if etagFor(body) == "" {
+		if etag.For(body) == "" {
 			b.Fatal("empty tag")
 		}
 	}

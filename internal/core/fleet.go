@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ooddash/internal/etag"
 	"ooddash/internal/push"
 )
 
@@ -67,7 +68,7 @@ func NewFleetSnapshot(snap push.Snapshot, at time.Time) FleetSnapshot {
 		Widget:   snap.Widget,
 		Key:      snap.Key,
 		Body:     body,
-		ETag:     etagFor(body),
+		ETag:     etag.For(body),
 		Degraded: snap.Degraded,
 		Version:  snap.Version,
 		At:       at,
@@ -247,7 +248,7 @@ func (s *Server) writeFleetSnapshot(w http.ResponseWriter, r *http.Request, rout
 		h.Set(degradedHeader, "stale")
 	} else {
 		setETag(h, snap.ETag)
-		if etagMatch(r.Header.Get("If-None-Match"), snap.ETag) {
+		if etag.Match(r.Header.Get("If-None-Match"), snap.ETag) {
 			w.WriteHeader(http.StatusNotModified)
 			s.obsm.notModified.With(route.widget).Inc()
 			return

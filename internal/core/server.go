@@ -13,6 +13,7 @@ import (
 
 	"ooddash/internal/auth"
 	"ooddash/internal/cache"
+	"ooddash/internal/clock"
 	"ooddash/internal/newsfeed"
 	"ooddash/internal/push"
 	"ooddash/internal/resilience"
@@ -24,17 +25,6 @@ import (
 	"ooddash/internal/trace"
 )
 
-// Clock supplies the current time (matches slurm.Clock). The server's clock
-// must be the same instance that drives the simulated cluster so cache TTLs
-// and Slurm time agree in tests and benchmarks.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
-
 // Deps are the external systems the dashboard talks to (Figure 1's data
 // flow): Slurm via its command-line surface, the center's news API, the
 // storage quota database, the user directory, and the job log files.
@@ -44,7 +34,10 @@ type Deps struct {
 	Storage *storagedb.Database
 	Users   *auth.Directory
 	Logs    LogStore
-	Clock   Clock
+	// Clock is required. It must be the same instance that drives the
+	// simulated cluster so cache TTLs and Slurm time agree in tests and
+	// benchmarks; its Sleep paces retry backoff.
+	Clock clock.Clock
 	// REST is the slurmrestd-style client; required when Config.Backend
 	// selects BackendREST for either source. The dashboard's token should
 	// carry staff scope — per-user visibility is enforced by the
@@ -61,10 +54,6 @@ type Deps struct {
 	// simulator wires it to DBD.RollupStats; a real deployment would scrape
 	// slurmdbd directly instead.
 	RollupStats func() slurm.RollupStats
-	// Sleep pauses between retry attempts; nil means time.Sleep, unless
-	// Clock itself exposes a Sleep method (slurm.SimClock does), in which
-	// case retry backoff advances the simulated clock instead of blocking.
-	Sleep func(time.Duration)
 }
 
 // Server is the dashboard backend: a set of JSON API routes (one per
@@ -81,7 +70,7 @@ type Server struct {
 	storage *storagedb.Database
 	users   *auth.Directory
 	logs    LogStore
-	clock   Clock
+	clock   clock.Clock
 	events  EventSource
 	cache   *cache.Cache
 	res     *resilience.Set
@@ -151,17 +140,10 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 		return nil, fmt.Errorf("core: NewServer: missing user directory")
 	}
 	if deps.Clock == nil {
-		deps.Clock = realClock{}
+		return nil, fmt.Errorf("core: NewServer: missing clock")
 	}
 	if deps.Logs == nil {
 		deps.Logs = NewMemLogStore()
-	}
-	if deps.Sleep == nil {
-		if sl, ok := deps.Clock.(interface{ Sleep(time.Duration) }); ok {
-			deps.Sleep = sl.Sleep
-		} else {
-			deps.Sleep = time.Sleep
-		}
 	}
 	if len(cfg.SLO.Objectives) > 0 {
 		if err := slo.Validate(cfg.SLO.Objectives); err != nil {
@@ -191,7 +173,6 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	s.fills = newFillGates(s.cfg.Resilience.MaxConcurrentFills)
 	s.res = resilience.NewSet(resilience.Options{
 		Clock: deps.Clock,
-		Sleep: deps.Sleep,
 		Seed:  1,
 		OnStateChange: func(c resilience.StateChange) {
 			log.Printf("core: breaker %s: %s -> %s", c.Source, c.From, c.To)
@@ -205,11 +186,10 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	s.pushRoutes = s.buildPushRoutes()
 	s.pushDone = make(chan struct{})
 	s.pushSched = push.NewScheduler(push.SchedulerOptions{
-		Clock:            deps.Clock,
-		Hub:              s.pushHub,
-		Jitter:           s.cfg.Push.Jitter,
-		PauseWhenIdle:    !s.cfg.Push.DisableIdlePause,
-		SkipWhenDegraded: !s.cfg.Push.DisableDegradedSkip,
+		Clock:         deps.Clock,
+		Hub:           s.pushHub,
+		Jitter:        s.cfg.Push.Jitter,
+		PauseWhenIdle: !s.cfg.Push.DisableIdlePause,
 		OnRefresh: func(widget string, d time.Duration, published bool, err error) {
 			s.observeRefresh(widget, d, published, err)
 		},

@@ -165,7 +165,7 @@ func runSLOTransitionScript(t *testing.T) []byte {
 	for i := 0; i < 10; i++ { // 5 min of degraded stale serving
 		step()
 	}
-	fr.SetRules() // recovery
+	fr.SetRules()             // recovery
 	for i := 0; i < 12; i++ { // 6 min of healthy traffic: clear + resolve
 		step()
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 	"ooddash/internal/trace"
@@ -105,7 +106,7 @@ func TestTraceSpanDepthEndToEnd(t *testing.T) {
 // concentrated in the slurmdbd child span, the slow-request log line fires
 // with the trace ID, and a fast request made alongside is NOT retained.
 func TestSreportSlowdownTraceAttribution(t *testing.T) {
-	var clk *slurm.SimClock
+	var clk *clock.Sim
 	var fr *slurmcli.FaultRunner
 	e := newEnvWith(t, func(c *Config) {
 		// Baseline off: only the slow/error tail classes retain, so the

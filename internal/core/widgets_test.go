@@ -183,6 +183,9 @@ func TestNewServerValidation(t *testing.T) {
 	if _, err := NewServer(Config{}, Deps{Runner: e.server.runner}); err == nil {
 		t.Fatal("expected error without user directory")
 	}
+	if _, err := NewServer(Config{}, Deps{Runner: e.server.runner, Users: users}); err == nil {
+		t.Fatal("expected error without clock")
+	}
 }
 
 func TestConfigDefaults(t *testing.T) {

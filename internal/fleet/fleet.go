@@ -28,21 +28,12 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/core"
 	"ooddash/internal/push"
 	"ooddash/internal/slo"
 	"ooddash/internal/slurmcli"
 )
-
-// Clock matches slurm.Clock: the fleet shares the simulation clock with
-// every replica and the cluster itself.
-type Clock interface {
-	Now() time.Time
-}
-
-type realClock struct{}
-
-func (realClock) Now() time.Time { return time.Now() }
 
 // Options configure a Fleet.
 type Options struct {
@@ -50,8 +41,9 @@ type Options struct {
 	Replicas int
 	// Policy selects the load-balancing policy (default round_robin).
 	Policy Policy
-	// Clock is the shared (possibly simulated) clock; nil means wall clock.
-	Clock Clock
+	// Clock is the (possibly simulated) clock shared with every replica
+	// and the cluster itself. Required.
+	Clock clock.Clock
 	// Build constructs one replica's server. It receives the replica id and
 	// the runner the replica must use for upstream Slurm commands (the
 	// fleet wraps the base runner with a per-replica RPC meter). Replicas
@@ -96,7 +88,7 @@ type sourceState struct {
 type replica struct {
 	id   string
 	srv  *core.Server
-	rpcs *meterRunner
+	rpcs *slurmcli.CountingRunner
 
 	inflight atomic.Int64
 	killed   atomic.Bool // explicitly killed (process death model)
@@ -136,40 +128,10 @@ func (r *replica) dropSnap(key string) {
 	r.storeMu.Unlock()
 }
 
-// meterRunner counts upstream commands by daemon, beneath the replica's own
-// metered runner — it sees exactly the commands that reached the simulated
-// daemons (cache hits and degraded fallbacks never get here).
-type meterRunner struct {
-	next slurmcli.Runner
-	mu   sync.Mutex
-	byD  map[string]int64
-}
-
-func newMeterRunner(next slurmcli.Runner) *meterRunner {
-	return &meterRunner{next: next, byD: make(map[string]int64, 2)}
-}
-
-func (m *meterRunner) Run(name string, args ...string) (string, error) {
-	m.mu.Lock()
-	m.byD[slurmcli.DaemonFor(name)]++
-	m.mu.Unlock()
-	return m.next.Run(name, args...)
-}
-
-func (m *meterRunner) snapshot() map[string]int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make(map[string]int64, len(m.byD))
-	for k, v := range m.byD {
-		out[k] = v
-	}
-	return out
-}
-
 // Fleet runs the replicas, the load balancer, membership, and ownership.
 type Fleet struct {
 	opts  Options
-	clock Clock
+	clock clock.Clock
 	met   *metrics
 	memo  *memoRunner // nil when NoCoherence or MemoTTL < 0
 
@@ -208,11 +170,11 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Runner == nil {
 		return nil, fmt.Errorf("fleet: New: missing base Runner")
 	}
+	if opts.Clock == nil {
+		return nil, fmt.Errorf("fleet: New: missing Clock")
+	}
 	if opts.Replicas < 1 {
 		opts.Replicas = 1
-	}
-	if opts.Clock == nil {
-		opts.Clock = realClock{}
 	}
 	if opts.Policy == "" {
 		opts.Policy = PolicyRoundRobin
@@ -285,7 +247,7 @@ func (fl *Fleet) addReplica() (*replica, error) {
 	if fl.memo != nil {
 		base = fl.memo
 	}
-	rpcs := newMeterRunner(base)
+	rpcs := slurmcli.NewCountingRunner(base)
 	srv, err := fl.opts.Build(id, rpcs)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: replica %s: %w", id, err)
@@ -760,7 +722,7 @@ func (fl *Fleet) Server(id string) *core.Server {
 func (fl *Fleet) UpstreamRPCs() map[string]map[string]int64 {
 	out := make(map[string]map[string]int64)
 	for _, rep := range fl.replicaList() {
-		out[rep.id] = rep.rpcs.snapshot()
+		out[rep.id] = rep.rpcs.Snapshot()
 	}
 	return out
 }

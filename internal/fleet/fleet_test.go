@@ -51,6 +51,19 @@ func newTestFleet(t *testing.T, n int, policy Policy, mutate func(*Options)) (*w
 	return env, fl
 }
 
+func TestNewRejectsMissingClock(t *testing.T) {
+	_, err := New(Options{
+		Runner: &countingRunner{},
+		Build: func(string, slurmcli.Runner) (*core.Server, error) {
+			t.Fatal("Build called without a clock")
+			return nil, nil
+		},
+	})
+	if err == nil {
+		t.Fatal("New accepted a nil Clock")
+	}
+}
+
 func fleetGet(t *testing.T, h http.Handler, user, path, etag string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodGet, path, nil)

@@ -7,7 +7,7 @@ import (
 	"testing"
 	"time"
 
-	"ooddash/internal/slurm"
+	"ooddash/internal/clock"
 )
 
 type countingRunner struct {
@@ -24,9 +24,9 @@ func (c *countingRunner) Run(name string, args ...string) (string, error) {
 }
 
 func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
-	clock := slurm.NewSimClock(time.Unix(1_700_000_000, 0))
+	clk := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
-	m := newMemoRunner(clock, 10*time.Second, base)
+	m := newMemoRunner(clk, 10*time.Second, base)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
@@ -57,7 +57,7 @@ func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 	}
 
 	// Past the TTL the memo must refetch — it can never mask a refresh.
-	clock.Advance(11 * time.Second)
+	clk.Advance(11 * time.Second)
 	if _, err := m.Run("squeue", "-A", "grp01"); err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +67,9 @@ func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 }
 
 func TestMemoNeverCachesErrors(t *testing.T) {
-	clock := slurm.NewSimClock(time.Unix(1_700_000_000, 0))
+	clk := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
-	m := newMemoRunner(clock, 10*time.Second, base)
+	m := newMemoRunner(clk, 10*time.Second, base)
 
 	base.fail.Store(true)
 	if _, err := m.Run("sinfo", "--json"); err == nil {

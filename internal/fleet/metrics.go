@@ -104,7 +104,7 @@ func newMetrics(fl *Fleet) *metrics {
 		func() []obs.Sample {
 			var out []obs.Sample
 			for _, rep := range fl.replicaList() {
-				counts := rep.rpcs.snapshot()
+				counts := rep.rpcs.Snapshot()
 				daemons := make([]string, 0, len(counts))
 				for d := range counts {
 					daemons = append(daemons, d)

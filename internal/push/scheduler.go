@@ -7,6 +7,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // FetchFunc refreshes one source: it returns the widget's JSON payload,
@@ -33,8 +35,8 @@ type Source struct {
 
 // SchedulerOptions configure a Scheduler.
 type SchedulerOptions struct {
-	// Clock drives due-time decisions; nil means wall clock.
-	Clock Clock
+	// Clock drives due-time decisions; required.
+	Clock clock.Clock
 	// Hub receives every refresh result; required.
 	Hub *Hub
 	// Jitter staggers each source's first refresh by a deterministic
@@ -44,11 +46,6 @@ type SchedulerOptions struct {
 	// PauseWhenIdle skips refreshing a source that currently has zero hub
 	// subscribers; its schedule resumes when a client subscribes again.
 	PauseWhenIdle bool
-	// SkipWhenDegraded doubles a source's next refresh interval after a
-	// degraded result, shedding scheduled load from an ailing upstream (the
-	// resilience breaker handles rapid-fire failures; this handles the
-	// steady state of a long outage).
-	SkipWhenDegraded bool
 	// OnRefresh observes every attempted refresh with its duration measured
 	// on Clock — the same (possibly simulated) clock that drives due times,
 	// so chaos drills on a warped clock record the latencies the fetch path
@@ -90,9 +87,6 @@ type Scheduler struct {
 
 // NewScheduler returns an empty scheduler.
 func NewScheduler(opts SchedulerOptions) *Scheduler {
-	if opts.Clock == nil {
-		opts.Clock = realClock{}
-	}
 	if opts.Hub == nil {
 		panic("push: NewScheduler: nil Hub")
 	}
@@ -262,10 +256,13 @@ func (s *Scheduler) refreshOne(ctx context.Context, src Source) (Snapshot, error
 	if st, ok := s.sources[src.Key]; ok {
 		st.refreshes++
 		st.lastDegraded = err == nil && degraded
-		if st.lastDegraded && s.opts.SkipWhenDegraded {
+		if st.lastDegraded {
 			// Degraded means the upstream is failing and the cache served
 			// last-known-good data: stretch this source's next refresh to
-			// 2×TTL (skip one cycle) until a fresh result returns.
+			// 2×TTL (skip one cycle) until a fresh result returns. This
+			// sheds scheduled load from an ailing upstream in the steady
+			// state of a long outage; the resilience breaker handles
+			// rapid-fire failures.
 			s.stats.Skipped++
 			st.nextDue = s.opts.Clock.Now().Add(2 * st.TTL)
 		}

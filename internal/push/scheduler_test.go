@@ -173,7 +173,7 @@ func TestSchedulerSkipWhenDegraded(t *testing.T) {
 	var calls atomic.Int64
 	degraded := atomic.Bool{}
 	degraded.Store(true)
-	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub, SkipWhenDegraded: true})
+	sched := NewScheduler(SchedulerOptions{Clock: clock, Hub: hub})
 	defer sched.Close()
 	sched.Register(Source{
 		Widget: "w", Key: "w", TTL: 30 * time.Second,

@@ -3,15 +3,17 @@ package slurm
 import (
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 func TestDefaultConfigBoots(t *testing.T) {
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := DefaultConfig()
 	cfg.Associations = []Association{
 		{Account: "demo"}, {Account: "demo", User: "ada"},
 	}
-	cl, err := NewCluster(cfg, clock)
+	cl, err := NewCluster(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,14 +148,6 @@ func TestUtilizationZeroDenominators(t *testing.T) {
 	}
 }
 
-func TestRealClock(t *testing.T) {
-	before := time.Now()
-	got := RealClock{}.Now()
-	if got.Before(before.Add(-time.Second)) || got.After(before.Add(time.Minute)) {
-		t.Fatalf("RealClock.Now = %v", got)
-	}
-}
-
 func TestStateEventKinds(t *testing.T) {
 	cases := map[JobState]EventKind{
 		StateCompleted:   EventCompleted,
@@ -210,6 +204,9 @@ func TestConfigValidationErrors(t *testing.T) {
 	good := base()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid config rejected: %v", err)
+	}
+	if _, err := NewCluster(good, nil); err == nil {
+		t.Fatal("NewCluster accepted a nil clock")
 	}
 }
 

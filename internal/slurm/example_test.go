@@ -4,13 +4,14 @@ import (
 	"fmt"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // A minimal cluster: one partition, one account, one job through its
 // whole lifecycle.
 func Example() {
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cluster, err := slurm.NewCluster(slurm.ClusterConfig{
 		Name: "demo",
 		Nodes: []slurm.NodeSpec{
@@ -21,7 +22,7 @@ func Example() {
 		Associations: []slurm.Association{
 			{Account: "lab"}, {Account: "lab", User: "ada"},
 		},
-	}, clock)
+	}, clk)
 	if err != nil {
 		panic(err)
 	}
@@ -38,7 +39,7 @@ func Example() {
 	cluster.Ctl.Tick()
 	fmt.Println("after submit:", cluster.Ctl.Job(id).State)
 
-	clock.Advance(31 * time.Minute)
+	clk.Advance(31 * time.Minute)
 	cluster.Ctl.Tick()
 	fmt.Println("after 31m:", cluster.Ctl.Job(id).State)
 	fmt.Println("accounting has it:", cluster.DBD.Job(id).State)

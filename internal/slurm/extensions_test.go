@@ -4,13 +4,15 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // preemptCluster builds a cluster with a preemptable standby tier sharing
 // nodes with the normal partition.
-func preemptCluster(t *testing.T) (*Cluster, *SimClock) {
+func preemptCluster(t *testing.T) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "preempt-test",
 		Nodes: []NodeSpec{
@@ -30,11 +32,11 @@ func preemptCluster(t *testing.T) (*Cluster, *SimClock) {
 			{Account: "lab", User: "bob"},
 		},
 	}
-	cl, err := NewCluster(cfg, clock)
+	cl, err := NewCluster(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, clock
+	return cl, clk
 }
 
 func TestPreemptionRequeuesStandbyJobs(t *testing.T) {
@@ -382,7 +384,7 @@ func TestSuspendStateErrors(t *testing.T) {
 }
 
 func TestFeatureConstraintPlacement(t *testing.T) {
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "features",
 		Nodes: []NodeSpec{
@@ -395,7 +397,7 @@ func TestFeatureConstraintPlacement(t *testing.T) {
 		QOS:          []QOS{{Name: "normal"}},
 		Associations: []Association{{Account: "lab"}, {Account: "lab", User: "u"}},
 	}
-	cl, err := NewCluster(cfg, clock)
+	cl, err := NewCluster(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}

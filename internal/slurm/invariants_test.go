@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // checkInvariants asserts the structural invariants that must hold after
@@ -91,7 +93,7 @@ func checkInvariants(t *testing.T, cl *Cluster) {
 func TestSchedulerInvariantsProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		clock := NewSimClock(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+		clk := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
 		cfg := ClusterConfig{
 			Name: "prop",
 			Nodes: []NodeSpec{
@@ -113,7 +115,7 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 				{Account: "lab", User: "u2"},
 			},
 		}
-		cl, err := NewCluster(cfg, clock)
+		cl, err := NewCluster(cfg, clk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +181,9 @@ func TestSchedulerInvariantsProperty(t *testing.T) {
 				_ = cl.Ctl.SetNodeDown(name, "prop-test")
 			default: // just advance time
 			}
-			clock.Advance(time.Duration(1+rng.Intn(30)) * time.Minute)
+			clk.Advance(time.Duration(1+rng.Intn(30)) * time.Minute)
 			cl.Ctl.Tick()
-			checkInvariants(t, &Cluster{Name: "prop", Clock: clock, Ctl: cl.Ctl, DBD: cl.DBD})
+			checkInvariants(t, &Cluster{Name: "prop", Clock: clk, Ctl: cl.Ctl, DBD: cl.DBD})
 		}
 		return true
 	}

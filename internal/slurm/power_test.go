@@ -3,12 +3,14 @@ package slurm
 import (
 	"testing"
 	"time"
+
+	"ooddash/internal/clock"
 )
 
 // powerTestCluster builds a small uniform cluster for power-cycle tests.
-func powerTestCluster(t *testing.T, nodes int) (*Cluster, *SimClock) {
+func powerTestCluster(t *testing.T, nodes int) (*Cluster, *clock.Sim) {
 	t.Helper()
-	clock := NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cfg := ClusterConfig{
 		Name: "power-test",
 		Nodes: []NodeSpec{
@@ -21,11 +23,11 @@ func powerTestCluster(t *testing.T, nodes int) (*Cluster, *SimClock) {
 			{Account: "acct", User: "alice"},
 		},
 	}
-	cluster, err := NewCluster(cfg, clock)
+	cluster, err := NewCluster(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cluster, clock
+	return cluster, clk
 }
 
 func powerSubmit(t *testing.T, ctl *Controller, cpus int) JobID {

@@ -34,8 +34,8 @@ const (
 // keeps buckets. Minutes serve short interactive windows, hours the weekly/
 // monthly views, days the multi-year ones.
 const (
-	RollupMinuteRetention int64 = 48 * 3600      // 48 hours of minutes
-	RollupHourRetention   int64 = 60 * 86400     // 60 days of hours
+	RollupMinuteRetention int64 = 48 * 3600        // 48 hours of minutes
+	RollupHourRetention   int64 = 60 * 86400       // 60 days of hours
 	RollupDayRetention    int64 = 10 * 366 * 86400 // ~10 years of days
 )
 

@@ -4,13 +4,14 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
 // benchRunner builds a runner over a moderately busy cluster.
 func benchRunner(b *testing.B) (*SimRunner, *slurm.Cluster) {
 	b.Helper()
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
+	clk := clock.NewSim(time.Date(2026, 7, 1, 0, 0, 0, 0, time.UTC))
 	cfg := slurm.ClusterConfig{
 		Name: "bench",
 		Nodes: []slurm.NodeSpec{
@@ -20,7 +21,7 @@ func benchRunner(b *testing.B) (*SimRunner, *slurm.Cluster) {
 		QOS:          []slurm.QOS{{Name: "normal"}},
 		Associations: []slurm.Association{{Account: "lab"}, {Account: "lab", User: "u"}},
 	}
-	cl, err := slurm.NewCluster(cfg, clock)
+	cl, err := slurm.NewCluster(cfg, clk)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"ooddash/internal/clock"
 	"ooddash/internal/slurm"
 )
 
@@ -82,15 +83,15 @@ func TestFaultRunnerBurst(t *testing.T) {
 }
 
 func TestFaultRunnerLatencyChargesSleepHook(t *testing.T) {
-	clock := slurm.NewSimClock(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
-	fr := NewFaultRunner(&echoRunner{}, 1, clock.Sleep)
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
+	fr := NewFaultRunner(&echoRunner{}, 1, clk.Sleep)
 	fr.SetRules(FaultRule{Latency: 150 * time.Millisecond, LatencyJitter: 50 * time.Millisecond})
 
-	before := clock.Now()
+	before := clk.Now()
 	if _, err := fr.Run("squeue"); err != nil {
 		t.Fatal(err)
 	}
-	slept := clock.Now().Sub(before)
+	slept := clk.Now().Sub(before)
 	if slept < 150*time.Millisecond || slept > 200*time.Millisecond {
 		t.Fatalf("slept %v, want within [150ms, 200ms]", slept)
 	}

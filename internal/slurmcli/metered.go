@@ -2,6 +2,7 @@ package slurmcli
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"ooddash/internal/trace"
@@ -65,4 +66,39 @@ func (m *MeteredRunner) RunContext(ctx context.Context, name string, args ...str
 		m.Observe(name, DaemonFor(name), time.Since(start), err)
 	}
 	return out, err
+}
+
+// CountingRunner counts the commands that reach its wrapped runner, by
+// daemon. Placed beneath a server's own MeteredRunner it sees exactly the
+// commands that reached the simulated daemons: cache hits and degraded
+// fallbacks never get here. It implements Runner only, not CtxRunner, so it
+// adds nothing to trace shape.
+type CountingRunner struct {
+	next Runner
+	mu   sync.Mutex
+	byD  map[string]int64
+}
+
+// NewCountingRunner wraps next with per-daemon command counters.
+func NewCountingRunner(next Runner) *CountingRunner {
+	return &CountingRunner{next: next, byD: make(map[string]int64, 2)}
+}
+
+// Run implements Runner.
+func (c *CountingRunner) Run(name string, args ...string) (string, error) {
+	c.mu.Lock()
+	c.byD[DaemonFor(name)]++
+	c.mu.Unlock()
+	return c.next.Run(name, args...)
+}
+
+// Snapshot returns a copy of the command counts by daemon.
+func (c *CountingRunner) Snapshot() map[string]int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make(map[string]int64, len(c.byD))
+	for k, v := range c.byD {
+		out[k] = v
+	}
+	return out
 }

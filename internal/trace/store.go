@@ -67,7 +67,6 @@ type slowTracker struct {
 
 // storeConfig parametrizes a Store (built by the Tracer).
 type storeConfig struct {
-	clock  Clock
 	max    int
 	slow   time.Duration
 	slowN  int
