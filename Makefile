@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: check fmt test vet test-race race bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
+.PHONY: check fmt test vet test-race race fuzz bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
 
 check: fmt test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills  ## the default CI gate: gofmt + build + tests + vet + race detector + chaos drills
 
@@ -51,6 +51,12 @@ test-race:       ## test suite under the race detector
 	go test -race ./...
 
 race: test-race  ## alias for test-race
+
+# Time budget for each fuzz target.
+FUZZTIME = 30s
+
+fuzz:            ## run each fuzz target for FUZZTIME (not part of check; plain go test replays the seed corpus)
+	go test -run '^$$' -fuzz '^FuzzNodeListContains$$' -fuzztime $(FUZZTIME) ./internal/slurm/
 
 bench: check     ## CI gate + loadgen smoke on the simulated clock -> BENCH_latency.json
 	go run ./cmd/loadgen -smoke -users 25 -rounds 8 -interval 5s \

@@ -353,6 +353,22 @@ func (c *Cache) Get(key string) (any, bool) {
 	return e.value, true
 }
 
+// Peek returns the retained value for key while it is still servable: fresh,
+// or expired but inside its stale grace window. A compute function uses it
+// to refresh a value incrementally from its last stored version. It touches
+// no statistics.
+func (c *Cache) Peek(key string) (any, bool) {
+	now := c.clock.Now()
+	sh := c.shardFor(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e, ok := sh.entries[key]
+	if !ok || !now.Before(e.staleUntil) {
+		return nil, false
+	}
+	return e.value, true
+}
+
 // Set stores value under key with the given TTL, replacing any entry. Values
 // stored with Set have no stale grace window.
 func (c *Cache) Set(key string, value any, ttl time.Duration) {

@@ -255,3 +255,58 @@ func TestFetchClearPurgeRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 }
+
+func TestPeekReadsRetainedEntryInsideStaleWindow(t *testing.T) {
+	clock := testClock()
+	c := New(clock)
+	if _, ok := c.Peek("k"); ok {
+		t.Fatal("Peek on a cold cache reported a value")
+	}
+	if _, err := c.FetchStale("k", time.Minute, 10*time.Minute, func() (any, error) { return "v1", nil }); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := c.Peek("k"); !ok || v != "v1" {
+		t.Fatalf("fresh Peek = %v, %v", v, ok)
+	}
+
+	// Expired but inside the grace window: still readable, and no counter
+	// moves — Peek is a compute function's view, not traffic.
+	clock.Advance(5 * time.Minute)
+	before := c.Stats()
+	if v, ok := c.Peek("k"); !ok || v != "v1" {
+		t.Fatalf("stale Peek = %v, %v, want the retained value", v, ok)
+	}
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("Get served an expired entry")
+	}
+	if after := c.Stats(); after != before {
+		t.Fatalf("Peek moved stats: %+v -> %+v", before, after)
+	}
+
+	// Past the grace window the entry is gone to Peek even before a Purge.
+	clock.Advance(6 * time.Minute)
+	if v, ok := c.Peek("k"); ok {
+		t.Fatalf("Peek past the stale window = %v", v)
+	}
+}
+
+func TestPeekInsideComputeSeesPreviousValue(t *testing.T) {
+	clock := testClock()
+	c := New(clock)
+	refill := func() (Result, error) {
+		return c.FetchStale("n", time.Second, time.Minute, func() (any, error) {
+			prev, ok := c.Peek("n")
+			if !ok {
+				return 1, nil
+			}
+			return prev.(int) + 1, nil
+		})
+	}
+	for want := 1; want <= 3; want++ {
+		res, err := refill()
+		if err != nil || res.Value != want {
+			t.Fatalf("refill %d = %+v, %v", want, res, err)
+		}
+		clock.Advance(2 * time.Second)
+	}
+}

@@ -21,50 +21,57 @@ func benchServe(b *testing.B, path string, renderOff bool, ifNoneMatch bool) {
 // benchServeSampled is benchServe with an explicit head-sampling setting
 // (-1 tracing off, 0 sampled-out, 1 every request traced).
 func benchServeSampled(b *testing.B, path string, renderOff bool, ifNoneMatch bool, sample float64) {
-	e := newEnv(b)
-	for i := 0; i < 20; i++ {
-		e.submit(slurm.SubmitRequest{Name: fmt.Sprintf("j%d", i), User: "alice",
-			Account: "lab-a", Partition: "cpu", ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}})
-	}
+	e, req, tag := warmWidget(b, path, sample)
 	e.server.SetRenderCacheDisabled(renderOff)
 	defer e.server.SetRenderCacheDisabled(false)
-	e.server.SetTraceSample(sample)
-
-	req := httptest.NewRequest("GET", path, nil)
-	req.Header.Set(auth.UserHeader, "alice")
-
-	// Warm both cache layers and capture the ETag for revalidation mode.
-	warm := httptest.NewRecorder()
-	e.server.ServeHTTP(warm, req)
-	if warm.Code != http.StatusOK {
-		b.Fatalf("warm GET %s: status %d: %s", path, warm.Code, warm.Body.String())
-	}
+	want := http.StatusOK
 	if ifNoneMatch {
-		tag := warm.Header().Get("ETag")
-		if tag == "" {
-			b.Fatalf("GET %s: no ETag to revalidate against", path)
-		}
 		req.Header.Set("If-None-Match", tag)
+		want = http.StatusNotModified
 	}
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rec := newLoopbackRecorder()
-		e.server.ServeHTTP(rec, req)
-		want := http.StatusOK
-		if ifNoneMatch {
-			want = http.StatusNotModified
-		}
-		if rec.status != want {
-			b.Fatalf("GET %s: status %d, want %d", path, rec.status, want)
-		}
-		rec.release()
+		serveLoopback(b, e, req, want)
 	}
 }
 
-// BenchmarkWidgetServeEncodeOnce is the materialized hit path: cache hit,
-// rendered bytes reused, one Write.
+// warmWidget builds an env with some queue history, sets the trace sample,
+// and serves path once as alice to warm both cache layers. It returns the
+// request to replay and the ETag the warm response carried.
+func warmWidget(tb testing.TB, path string, sample float64) (*env, *http.Request, string) {
+	e := newEnv(tb)
+	for i := 0; i < 20; i++ {
+		e.submit(slurm.SubmitRequest{Name: fmt.Sprintf("j%d", i), User: "alice",
+			Account: "lab-a", Partition: "cpu", ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}})
+	}
+	e.server.SetTraceSample(sample)
+
+	req := httptest.NewRequest("GET", path, nil)
+	req.Header.Set(auth.UserHeader, "alice")
+	warm := httptest.NewRecorder()
+	e.server.ServeHTTP(warm, req)
+	if warm.Code != http.StatusOK {
+		tb.Fatalf("warm GET %s: status %d: %s", path, warm.Code, warm.Body.String())
+	}
+	tag := warm.Header().Get("ETag")
+	if tag == "" {
+		tb.Fatalf("GET %s: no ETag to revalidate against", path)
+	}
+	return e, req, tag
+}
+
+// serveLoopback serves req in process and requires the given status.
+func serveLoopback(tb testing.TB, e *env, req *http.Request, want int) {
+	rec := newLoopbackRecorder()
+	e.server.ServeHTTP(rec, req)
+	if rec.status != want {
+		tb.Fatalf("GET %s: status %d, want %d", req.URL, rec.status, want)
+	}
+	rec.release()
+}
+
 func BenchmarkWidgetServeEncodeOnce(b *testing.B) {
 	benchServe(b, "/api/myjobs", false, false)
 }

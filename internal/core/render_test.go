@@ -180,3 +180,17 @@ func TestAnnotateDegradedBytes(t *testing.T) {
 		}
 	}
 }
+
+// TestRevalidate304AllocsNoMoreThan200 keeps a revalidation no more
+// expensive than the response it saves: answering If-None-Match with 304
+// must not allocate more than writing the stored 200 body.
+func TestRevalidate304AllocsNoMoreThan200(t *testing.T) {
+	e, req, tag := warmWidget(t, "/api/myjobs", -1)
+	cond := req.Clone(req.Context())
+	cond.Header.Set("If-None-Match", tag)
+	full := testing.AllocsPerRun(200, func() { serveLoopback(t, e, req, http.StatusOK) })
+	notModified := testing.AllocsPerRun(200, func() { serveLoopback(t, e, cond, http.StatusNotModified) })
+	if notModified > full {
+		t.Fatalf("304 allocates %.1f per request, more than the 200's %.1f", notModified, full)
+	}
+}

@@ -319,18 +319,7 @@ func (s *Server) handleNodeJobs(w http.ResponseWriter, r *http.Request) {
 		resp := NodeJobsResponse{Node: name}
 		for i := range entries {
 			e := &entries[i]
-			nodes, err := slurm.ExpandNodeRange(e.NodeList)
-			if err != nil {
-				continue
-			}
-			onNode := false
-			for _, n := range nodes {
-				if n == name {
-					onNode = true
-					break
-				}
-			}
-			if !onNode {
+			if !slurm.NodeListContains(e.NodeList, name) {
 				continue
 			}
 			resp.Jobs = append(resp.Jobs, NodeJobRow{

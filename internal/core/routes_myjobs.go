@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -137,6 +138,9 @@ type JobRow struct {
 	App         string `json:"app,omitempty"`
 	SessionID   string `json:"session_id,omitempty"`
 	OverviewURL string `json:"overview_url"`
+
+	// rawID identifies the accounting record, for incremental refills.
+	rawID slurm.JobID
 }
 
 // MyJobsResponse is the My Jobs API payload.
@@ -153,6 +157,7 @@ type MyJobsResponse struct {
 // jobRowFromSacct converts an accounting row to the API row shape.
 func jobRowFromSacct(row *slurmcli.SacctRow, now time.Time, th efficiency.Thresholds) JobRow {
 	jr := JobRow{
+		rawID:     row.RawID,
 		JobID:     row.JobID,
 		Name:      row.Name,
 		User:      row.User,
@@ -202,40 +207,163 @@ func jobRowFromSacct(row *slurmcli.SacctRow, now time.Time, th efficiency.Thresh
 }
 
 // fetchUserJobs returns the table rows visible to the user (their own jobs
-// plus their groups', §2.4 Privacy) in the window, cached per (user, window).
-// The cache holds fully converted rows — efficiency metrics and warning
-// strings are the expensive part of this route, so they are computed once
-// per TTL instead of once per request; filters and pagination then run over
-// the cached slice.
-func (s *Server) fetchUserJobs(r *http.Request, userName string, accounts []string, start, end time.Time) ([]JobRow, fetchMeta, error) {
-	// Built without Sprintf: this key is recomputed on every My Jobs request
-	// (hit or miss), and Sprintf boxes both ints per call.
-	key := "myjobs:" + userName + ":" +
-		strconv.FormatInt(start.Unix(), 10) + ":" + strconv.FormatInt(end.Unix(), 10)
-	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
-		rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
-			Accounts: accounts, AllUsers: true,
-			Start: start, End: end,
+// plus their groups', §2.4 Privacy) in the request's time range. The cache
+// holds fully converted rows — efficiency metrics and warning strings are the
+// expensive part of this route, so each row is converted once per refill
+// instead of once per request; filters and pagination then run over the
+// cached slice.
+//
+// A relative range (24h … all) ends at the current instant, so it is kept as
+// one snapshot per user and range that refreshMyJobs brings up to date. A
+// custom range is fixed and keyed on its bounds.
+func (s *Server) fetchUserJobs(r *http.Request, userName string, accounts []string) ([]JobRow, fetchMeta, error) {
+	start, end, err := parseTimeRange(r, s.clock.Now())
+	if err != nil {
+		return nil, fetchMeta{}, err
+	}
+	rng := r.URL.Query().Get("range")
+	if rng == "custom" {
+		// Built without Sprintf: Sprintf boxes both ints per call.
+		key := "myjobs:" + userName + ":" +
+			strconv.FormatInt(start.Unix(), 10) + ":" + strconv.FormatInt(end.Unix(), 10)
+		v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
+			rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
+				Accounts: accounts, AllUsers: true,
+				Start: start, End: end,
+			})
+			if err != nil {
+				return nil, err
+			}
+			return sortedJobRows(rows, s.clock.Now()), nil
 		})
 		if err != nil {
-			return nil, err
+			return nil, fetchMeta{}, err
 		}
-		now := s.clock.Now()
-		th := efficiency.DefaultThresholds()
-		converted := make([]JobRow, len(rows))
-		for i := range rows {
-			converted[i] = jobRowFromSacct(&rows[i], now, th)
-		}
-		// Newest submissions first, the table's default sort.
-		sort.SliceStable(converted, func(i, j int) bool {
-			return converted[i].SubmitTime.After(converted[j].SubmitTime)
-		})
-		return converted, nil
+		return v.([]JobRow), meta, nil
+	}
+	if rng == "" {
+		rng = "7d"
+	}
+	var span time.Duration // zero: the window has no start ("all")
+	if !start.IsZero() {
+		span = end.Sub(start)
+	}
+	key := "myjobs:" + userName + ":" + rng
+	v, meta, err := s.fetchVia(r, srcDBD, key, myJobsSnapshotTTL, func(ctx context.Context) (any, error) {
+		return s.refreshMyJobs(ctx, key, accounts, span)
 	})
 	if err != nil {
 		return nil, fetchMeta{}, err
 	}
-	return v.([]JobRow), meta, nil
+	return v.(*myJobsSnapshot).rows, meta, nil
+}
+
+// myJobsSnapshotTTL is how long a relative-range snapshot is served without
+// asking slurmdbd again: one second, the freshness the former per-second
+// cache key gave. The table and charts requests of one page view still
+// collapse onto a single refill.
+const myJobsSnapshotTTL = time.Second
+
+// myJobsSnapshot is the cached My Jobs table for one user and relative
+// range: every row visible at asOf, in jobRowBefore order. A stored snapshot
+// is never mutated; a refresh builds a new one.
+type myJobsSnapshot struct {
+	asOf     time.Time // the instant the rows describe: the last sacct's end
+	fullAt   time.Time // when the last full sacct ran
+	accounts []string  // the accounts the rows were selected by
+	rows     []JobRow
+}
+
+// refreshMyJobs brings the snapshot under key up to the current instant.
+// While the retained snapshot's last full sacct is younger than the
+// JobHistory TTL it asks slurmdbd only for the jobs that can have changed
+// since then — every job with no end time or one at or after asOf, which is
+// what sacct -S asOf returns — and merges them in. Otherwise, or when the
+// user's accounts changed, it refills from a full sacct, which also picks up
+// accounting records loaded late. Both
+// paths yield the rows a full sacct at this instant would (DESIGN.md,
+// "Incremental My Jobs refill").
+func (s *Server) refreshMyJobs(ctx context.Context, key string, accounts []string, span time.Duration) (*myJobsSnapshot, error) {
+	now := s.clock.Now()
+	var start time.Time
+	if span > 0 {
+		start = now.Add(-span)
+	}
+	prev, _ := s.cache.Peek(key)
+	if snap, ok := prev.(*myJobsSnapshot); ok && now.Sub(snap.fullAt) < s.cfg.TTLs.JobHistory &&
+		!snap.asOf.Before(start) && !now.Before(snap.asOf) && slices.Equal(snap.accounts, accounts) {
+		delta, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
+			Accounts: accounts, AllUsers: true,
+			Start: snap.asOf, End: now,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return &myJobsSnapshot{asOf: now, fullAt: snap.fullAt, accounts: accounts,
+			rows: mergeJobRows(snap.rows, sortedJobRows(delta, now), start)}, nil
+	}
+	rows, err := s.dbdBk.Sacct(ctx, slurmcli.SacctOptions{
+		Accounts: accounts, AllUsers: true,
+		Start: start, End: now,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &myJobsSnapshot{asOf: now, fullAt: now, accounts: accounts, rows: sortedJobRows(rows, now)}, nil
+}
+
+// sortedJobRows converts accounting rows to table rows in jobRowBefore
+// order.
+func sortedJobRows(rows []slurmcli.SacctRow, now time.Time) []JobRow {
+	th := efficiency.DefaultThresholds()
+	converted := make([]JobRow, len(rows))
+	for i := range rows {
+		converted[i] = jobRowFromSacct(&rows[i], now, th)
+	}
+	sort.Slice(converted, func(i, j int) bool {
+		return jobRowBefore(&converted[i], &converted[j])
+	})
+	return converted
+}
+
+// jobRowBefore is the table's one total order: newest submission first (the
+// default sort), then ascending raw job ID. Every refill path sorts by it,
+// so an incremental refill lays rows out exactly as a full one does.
+func jobRowBefore(a, b *JobRow) bool {
+	if !a.SubmitTime.Equal(b.SubmitTime) {
+		return a.SubmitTime.After(b.SubmitTime)
+	}
+	return a.rawID < b.rawID
+}
+
+// mergeJobRows folds sorted delta rows into a retained snapshot without
+// modifying it: a delta row replaces the retained row with the same raw job
+// ID, retained rows that ended before the window start leave, and the result
+// keeps jobRowBefore order. slurmdbd compares end times against the start
+// to the second, so the cutoff is truncated the same way.
+func mergeJobRows(retained, delta []JobRow, start time.Time) []JobRow {
+	replaced := make(map[slurm.JobID]struct{}, len(delta))
+	for i := range delta {
+		replaced[delta[i].rawID] = struct{}{}
+	}
+	cutoff := start.Truncate(time.Second)
+	out := make([]JobRow, 0, len(retained)+len(delta))
+	next := 0
+	for i := range retained {
+		row := &retained[i]
+		if _, ok := replaced[row.rawID]; ok {
+			continue
+		}
+		if !row.EndTime.IsZero() && row.EndTime.Before(cutoff) {
+			continue
+		}
+		for next < len(delta) && jobRowBefore(&delta[next], row) {
+			out = append(out, delta[next])
+			next++
+		}
+		out = append(out, *row)
+	}
+	return append(out, delta[next:]...)
 }
 
 func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
@@ -244,13 +372,7 @@ func (s *Server) handleMyJobs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
+	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts)
 	if err != nil {
 		writeFetchError(w, err)
 		return
@@ -319,13 +441,7 @@ func (s *Server) handleMyJobsExport(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
+	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts)
 	if err != nil {
 		writeFetchError(w, err)
 		return
@@ -410,13 +526,7 @@ func (s *Server) handleMyJobsCharts(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	now := s.clock.Now()
-	start, end, err := parseTimeRange(r, now)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts, start, end)
+	rows, meta, err := s.fetchUserJobs(r, user.Name, user.Accounts)
 	if err != nil {
 		writeFetchError(w, err)
 		return

@@ -2,11 +2,16 @@ package core
 
 import (
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/slurm"
+	"ooddash/internal/slurmcli"
 )
 
 // seedMixedHistory creates a spread of jobs: completed, failed, pending,
@@ -261,17 +266,160 @@ func TestJobPerfEmptyRange(t *testing.T) {
 	}
 }
 
+// sacctRecorder wraps a runner and keeps the arguments of every sacct call.
+type sacctRecorder struct {
+	slurmcli.Runner
+	mu    sync.Mutex
+	calls [][]string
+}
+
+func (r *sacctRecorder) Run(name string, args ...string) (string, error) {
+	if name == "sacct" {
+		r.mu.Lock()
+		r.calls = append(r.calls, args)
+		r.mu.Unlock()
+	}
+	return r.Runner.Run(name, args...)
+}
+
+// since returns the sacct calls after the first n, and their count.
+func (r *sacctRecorder) since(n int) ([][]string, int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.calls[n:], len(r.calls)
+}
+
+// flagValue returns the value following flag in args, or "".
+func flagValue(args []string, flag string) string {
+	for i := 0; i+1 < len(args); i++ {
+		if args[i] == flag {
+			return args[i+1]
+		}
+	}
+	return ""
+}
+
 func TestMyJobsCachedPerUserWindow(t *testing.T) {
-	e := newEnv(t)
+	rec := &sacctRecorder{}
+	e := newEnvWith(t, nil, func(r slurmcli.Runner) slurmcli.Runner {
+		rec.Runner = r
+		return rec
+	})
 	seedMixedHistory(e)
-	before := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
+	_, seen := rec.since(0)
 	var resp MyJobsResponse
 	e.getJSON("alice", "/api/myjobs?range=24h", &resp)
 	e.getJSON("alice", "/api/myjobs?range=24h", &resp)
 	e.getJSON("alice", "/api/myjobs?range=24h&state=FAILED", &resp)
-	after := e.cluster.DBD.Stats().Count(slurm.RPCSacct)
-	if after-before != 1 {
-		t.Fatalf("sacct RPCs = %d, want 1 (cached; filters reuse the entry)", after-before)
+	e.getJSON("alice", "/api/myjobs/charts?range=24h", &resp)
+	calls, seen := rec.since(seen)
+	if len(calls) != 1 {
+		t.Fatalf("sacct calls = %d, want 1 (cached; filters and charts reuse the entry)", len(calls))
+	}
+	asOf := e.clock.Now()
+	if got, want := flagValue(calls[0], "-S"), slurmcli.FormatTime(asOf.Add(-24*time.Hour)); got != want {
+		t.Fatalf("full fill -S = %q, want %q", got, want)
+	}
+
+	// After the clock moves, one delta sacct starting at the previous asOf
+	// brings the snapshot up to date, and every view reads the new one.
+	e.advance(40 * time.Second)
+	e.getJSON("alice", "/api/myjobs?range=24h", &resp)
+	e.getJSON("alice", "/api/myjobs/charts?range=24h", &resp)
+	calls, _ = rec.since(seen)
+	if len(calls) != 1 {
+		t.Fatalf("sacct calls after a clock move = %d, want 1", len(calls))
+	}
+	if got, want := flagValue(calls[0], "-S"), slurmcli.FormatTime(asOf); got != want {
+		t.Fatalf("delta sacct -S = %q, want the previous asOf %q", got, want)
+	}
+	if got, want := flagValue(calls[0], "-E"), slurmcli.FormatTime(e.clock.Now()); got != want {
+		t.Fatalf("delta sacct -E = %q, want now %q", got, want)
+	}
+}
+
+// coldServer builds a second dashboard over e's cluster with an empty cache:
+// what a server started at this instant serves.
+func (e *env) coldServer() *Server {
+	e.t.Helper()
+	s, err := NewServer(Config{ClusterName: "testcluster"}, Deps{
+		Runner: slurmcli.NewSimRunner(e.cluster), Users: e.users, Logs: e.logs,
+		Clock: e.clock, Events: e.cluster.Ctl,
+	})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	e.t.Cleanup(s.Close)
+	return s
+}
+
+// wantColdBody requires e's server to serve path exactly as a cold server
+// does at this instant.
+func (e *env) wantColdBody(user, path string) []byte {
+	e.t.Helper()
+	status, got := e.get(user, path)
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set(auth.UserHeader, user)
+	cold := httptest.NewRecorder()
+	e.coldServer().ServeHTTP(cold, req)
+	if status != http.StatusOK || cold.Code != http.StatusOK || string(got) != cold.Body.String() {
+		e.t.Fatalf("%s at %s: status %d, cold %d; bodies differ\nwarm: %s\ncold: %s",
+			path, e.clock.Now().Format(time.RFC3339Nano), status, cold.Code, got, cold.Body)
+	}
+	return got
+}
+
+// TestMyJobsDeltaEdges pins the two boundaries of the delta refill that
+// random clock moves rarely hit: a job that ends at the very instant of the
+// previous snapshot, and a job whose end the window start passes inside a
+// second, which slurmdbd still counts.
+func TestMyJobsDeltaEdges(t *testing.T) {
+	e := newEnv(t)
+	const path = "/api/myjobs?range=24h"
+	id := e.submit(slurm.SubmitRequest{
+		Name: "edge", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}, TimeLimit: 4 * time.Hour,
+		Profile: slurm.UsageProfile{ActualDuration: 3 * time.Hour},
+	})
+	e.advance(10 * time.Minute)
+	e.wantColdBody("alice", path)
+
+	// Cancelled at the snapshot's own instant: its end equals asOf, so the
+	// next delta must still return it.
+	if err := e.cluster.Ctl.Cancel(id, "alice"); err != nil {
+		t.Fatal(err)
+	}
+	end := e.clock.Now()
+	e.advance(5 * time.Second)
+	if body := e.wantColdBody("alice", path); !strings.Contains(string(body), `"state":"CANCELLED"`) {
+		t.Fatalf("cancelled job not served as cancelled: %s", body)
+	}
+
+	// A full refill a minute before the job leaves the 24h window, then a
+	// delta half a second after the window start passed its end: slurmdbd
+	// compares against the start truncated to the second, so the job stays.
+	e.clock.Set(end.Add(24*time.Hour - time.Minute))
+	e.wantColdBody("alice", path)
+	e.clock.Set(end.Add(24*time.Hour + 500*time.Millisecond))
+	if body := e.wantColdBody("alice", path); !strings.Contains(string(body), `"name":"edge"`) {
+		t.Fatalf("job ended at the truncated window start was dropped: %s", body)
+	}
+	e.clock.Set(end.Add(24*time.Hour + 1500*time.Millisecond))
+	if body := e.wantColdBody("alice", path); strings.Contains(string(body), `"name":"edge"`) {
+		t.Fatalf("job ended before the window start was kept: %s", body)
+	}
+}
+
+// TestMyJobsAccountChangeRefillsFully removes a user from an account between
+// refills: the next refill must not keep the old account's rows.
+func TestMyJobsAccountChangeRefillsFully(t *testing.T) {
+	e := newEnv(t)
+	seedMixedHistory(e)
+	before := e.wantColdBody("bob", "/api/myjobs?range=24h")
+	e.users.AddUser(auth.User{Name: "bob", Accounts: []string{"lab-b"}})
+	e.advance(5 * time.Second)
+	if after := e.wantColdBody("bob", "/api/myjobs?range=24h"); string(after) == string(before) {
+		t.Fatal("dropping an account left the page unchanged")
 	}
 }
 

@@ -238,8 +238,13 @@ func (h *Histogram) snapshot() (cum []int64, count int64, sum float64) {
 
 // --- vectors ----------------------------------------------------------------
 
-// vecKey joins label values unambiguously (values may contain commas).
+// vecKey joins label values unambiguously (values may contain commas). A
+// single label value is its own key, so one-label vectors look up their
+// child without building a string.
 func vecKey(values []string) string {
+	if len(values) == 1 {
+		return values[0]
+	}
 	var b strings.Builder
 	for i, v := range values {
 		if i > 0 {

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -202,47 +203,134 @@ func NodeNameRange(names []string) string {
 	return strings.Join(out, ",")
 }
 
-// ExpandNodeRange is the inverse of NodeNameRange for a single bracketed
-// range expression; plain comma-separated names pass through unchanged.
+// ExpandNodeRange is the inverse of NodeNameRange: it expands a hostlist of
+// comma-separated plain names and bracketed ranges ("g[001-003],login")
+// into node names. A range bound is a run of decimal digits whose length
+// sets the zero-padding width; numbers wider than the pad print in full, so
+// "c[8-10]" is c8, c9, c10.
 func ExpandNodeRange(expr string) ([]string, error) {
 	var out []string
 	for len(expr) > 0 {
-		br := strings.IndexByte(expr, '[')
-		comma := strings.IndexByte(expr, ',')
-		if br == -1 || (comma != -1 && comma < br) {
-			// A plain name up to the next comma.
-			if comma == -1 {
-				out = append(out, expr)
-				return out, nil
-			}
-			out = append(out, expr[:comma])
-			expr = expr[comma+1:]
-			continue
-		}
-		prefix := expr[:br]
-		close := strings.IndexByte(expr, ']')
-		if close == -1 {
+		prefix, spans, bracket, rest, ok := cutHostlistElem(expr)
+		if !ok {
 			return nil, fmt.Errorf("slurm: unterminated bracket in hostlist %q", expr)
 		}
-		for _, span := range strings.Split(expr[br+1:close], ",") {
-			lo, hi, hasHi := strings.Cut(span, "-")
-			var a, b int
-			if _, err := fmt.Sscanf(lo, "%d", &a); err != nil {
-				return nil, fmt.Errorf("slurm: bad hostlist range %q: %v", span, err)
+		expr = rest
+		if !bracket {
+			out = append(out, prefix)
+			continue
+		}
+		for more := true; more; {
+			var span string
+			span, spans, more = strings.Cut(spans, ",")
+			lo, hi, width, ok := parseHostSpan(span)
+			if !ok {
+				return nil, fmt.Errorf("slurm: bad hostlist range %q", span)
 			}
-			b = a
-			if hasHi {
-				if _, err := fmt.Sscanf(hi, "%d", &b); err != nil {
-					return nil, fmt.Errorf("slurm: bad hostlist range %q: %v", span, err)
+			for n := lo; n <= hi; n++ {
+				out = append(out, fmt.Sprintf("%s%0*d", prefix, width, n))
+				if n == hi {
+					break // n++ would wrap at math.MaxInt
 				}
 			}
-			width := len(lo)
-			for n := a; n <= b; n++ {
-				out = append(out, fmt.Sprintf("%s%0*d", prefix, width, n))
-			}
 		}
-		expr = expr[close+1:]
-		expr = strings.TrimPrefix(expr, ",")
 	}
 	return out, nil
+}
+
+// NodeListContains reports whether name is one of the nodes ExpandNodeRange
+// lists for expr, without expanding it or allocating. A malformed hostlist
+// contains no node, as ExpandNodeRange returns an error for it.
+func NodeListContains(expr, name string) bool {
+	found := false
+	for len(expr) > 0 {
+		prefix, spans, bracket, rest, ok := cutHostlistElem(expr)
+		if !ok {
+			return false
+		}
+		expr = rest
+		if !bracket {
+			found = found || prefix == name
+			continue
+		}
+		for more := true; more; {
+			var span string
+			span, spans, more = strings.Cut(spans, ",")
+			lo, hi, width, ok := parseHostSpan(span)
+			if !ok {
+				return false
+			}
+			found = found || inHostRange(name, prefix, lo, hi, width)
+		}
+	}
+	return found
+}
+
+// cutHostlistElem splits the first element off a hostlist: a plain name up
+// to the next comma, or a prefix and the comma-separated span list inside
+// the brackets that follow it. ok is false for an unterminated bracket.
+func cutHostlistElem(expr string) (prefix, spans string, bracket bool, rest string, ok bool) {
+	br := strings.IndexByte(expr, '[')
+	comma := strings.IndexByte(expr, ',')
+	if br == -1 || (comma != -1 && comma < br) {
+		if comma == -1 {
+			return expr, "", false, "", true
+		}
+		return expr[:comma], "", false, expr[comma+1:], true
+	}
+	end := strings.IndexByte(expr[br:], ']')
+	if end == -1 {
+		return "", "", false, "", false
+	}
+	end += br
+	return expr[:br], expr[br+1 : end], true, strings.TrimPrefix(expr[end+1:], ","), true
+}
+
+// parseHostSpan parses one bracket span, "7" or "001-010": its bounds and
+// the zero-padding width its lower bound is written with.
+func parseHostSpan(span string) (lo, hi, width int, ok bool) {
+	loStr, hiStr, hasHi := strings.Cut(span, "-")
+	if lo, ok = parseHostNum(loStr); !ok {
+		return 0, 0, 0, false
+	}
+	hi = lo
+	if hasHi {
+		if hi, ok = parseHostNum(hiStr); !ok {
+			return 0, 0, 0, false
+		}
+	}
+	return lo, hi, len(loStr), true
+}
+
+// parseHostNum parses a non-empty run of decimal digits that fits an int.
+func parseHostNum(s string) (int, bool) {
+	if s == "" {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(s); i++ {
+		d := int(s[i]) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
+}
+
+// inHostRange reports whether name is prefix followed by a number in
+// [lo, hi] printed zero-padded to width: one of the names the span expands
+// to.
+func inHostRange(name, prefix string, lo, hi, width int) bool {
+	if !strings.HasPrefix(name, prefix) {
+		return false
+	}
+	digits := name[len(prefix):]
+	// Padding only ever adds zeros up to width, so a longer suffix is the
+	// number's own digits and cannot start with a zero.
+	if len(digits) < width || (len(digits) > width && digits[0] == '0') {
+		return false
+	}
+	n, ok := parseHostNum(digits)
+	return ok && lo <= n && n <= hi
 }

@@ -2,8 +2,11 @@ package slurm
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"slices"
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -118,6 +121,99 @@ func TestExpandNodeRange(t *testing.T) {
 	if _, err := ExpandNodeRange("a[001-"); err == nil {
 		t.Error("expected error for unterminated bracket")
 	}
+	// The largest bound expands to one name instead of wrapping around.
+	maxName := "a" + strconv.Itoa(math.MaxInt)
+	if got, err := ExpandNodeRange("a[" + maxName[1:] + "]"); err != nil || !reflect.DeepEqual(got, []string{maxName}) {
+		t.Errorf("ExpandNodeRange at math.MaxInt = %v, %v", got, err)
+	}
+	// Bounds are plain decimal digits, and a ']' before the '[' does not
+	// close it.
+	for _, bad := range []string{"a[ 1]", "a[+1]", "a[1x]", "a[1-2-3]", "a[]", "a[1,]", "a]b[1", "a[99999999999999999999]"} {
+		if got, err := ExpandNodeRange(bad); err == nil {
+			t.Errorf("ExpandNodeRange(%q) = %v, want an error", bad, got)
+		}
+	}
+}
+
+func TestNodeListContains(t *testing.T) {
+	tests := []struct {
+		expr, name string
+		want       bool
+	}{
+		{"a001", "a001", true},
+		{"a001", "a01", false},
+		{"a[001-003]", "a002", true},
+		{"a[001-003]", "a2", false},
+		{"a[001-003]", "a0002", false},
+		{"a[001-003]", "a004", false},
+		{"a[001-003]", "b002", false},
+		{"login,a[001-002]", "login", true},
+		{"a[001,005]", "a005", true},
+		{"a[001,005]", "a003", false},
+		// Suffixes wider than the pad print in full.
+		{"c[8-10]", "c10", true},
+		{"c[8-10]", "c9", true},
+		{"c[8-10]", "c08", false},
+		{"c[098-100]", "c100", true},
+		{"c[98-100]", "c0100", false},
+		{"c[0-0]", "c0", true},
+		{"c[0-0]", "c00", false},
+		{"c[5-3]", "c4", false},
+		// A malformed list contains nothing, even after a match.
+		{"a001,b[1-", "a001", false},
+		{"a[001-003],b[x]", "a002", false},
+		{"a[1]", "a99999999999999999999", false},
+	}
+	for _, tc := range tests {
+		if got := NodeListContains(tc.expr, tc.name); got != tc.want {
+			t.Errorf("NodeListContains(%q, %q) = %v, want %v", tc.expr, tc.name, got, tc.want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		NodeListContains("a[001-128,200-256],b[01-16],login", "b12")
+	}); allocs != 0 {
+		t.Fatalf("NodeListContains allocates %v times per call, want 0", allocs)
+	}
+}
+
+// FuzzNodeListContains checks NodeListContains against membership in
+// ExpandNodeRange's list. Where ExpandNodeRange errors, no name is
+// contained. The seed corpus is in testdata/fuzz/FuzzNodeListContains.
+func FuzzNodeListContains(f *testing.F) {
+	f.Fuzz(func(t *testing.T, expr, name string) {
+		if expandsTooFar(expr) {
+			t.Skip()
+		}
+		nodes, err := ExpandNodeRange(expr)
+		got := NodeListContains(expr, name)
+		if err != nil {
+			if got {
+				t.Fatalf("NodeListContains(%q, %q) = true, but ExpandNodeRange errors: %v", expr, name, err)
+			}
+			return
+		}
+		if want := slices.Contains(nodes, name); got != want {
+			t.Fatalf("NodeListContains(%q, %q) = %v, want %v (expanded %v)", expr, name, got, want, nodes)
+		}
+	})
+}
+
+// expandsTooFar keeps fuzz inputs cheap to expand: no number with more than
+// three significant digits, so no span lists more than a thousand names.
+func expandsTooFar(expr string) bool {
+	significant := 0
+	for i := 0; i < len(expr); i++ {
+		switch c := expr[i]; {
+		case c == '0' && significant == 0:
+		case c >= '0' && c <= '9':
+			if significant++; significant > 3 {
+				return true
+			}
+		default:
+			significant = 0
+		}
+	}
+	return len(expr) > 200
 }
 
 // Property: expanding a compressed range yields the original sorted set.
