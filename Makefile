@@ -1,8 +1,8 @@
 # Convenience targets; everything is plain `go` underneath (stdlib only).
 
-.PHONY: check fmt test vet test-race race fuzz bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
+.PHONY: check fmt test vet test-race race perfbench fuzz bench bench-go bench-push bench-hotpath bench-chaos bench-rest bench-fleet bench-rollup bench-slo drills harness run verify
 
-check: fmt test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills  ## the default CI gate: gofmt + build + tests + vet + race detector + chaos drills
+check: fmt test vet test-race vet-push vet-trace vet-rest vet-fleet vet-rollup vet-slo drills perfbench  ## the default CI gate: gofmt + build + tests + vet + race detector + chaos drills + benchmark module
 
 fmt:             ## gofmt gate over tracked Go files (git ls-files skips build dirs); fails if any needs formatting
 	@out=$$(git ls-files '*.go' | xargs gofmt -l); \
@@ -52,11 +52,15 @@ test-race:       ## test suite under the race detector
 
 race: test-race  ## alias for test-race
 
+perfbench:       ## vet + test the benchmark module (its own go.mod, so the root ./... never compiles it)
+	cd perfbench && go vet ./... && go test ./...
+
 # Time budget for each fuzz target.
 FUZZTIME = 30s
 
 fuzz:            ## run each fuzz target for FUZZTIME (not part of check; plain go test replays the seed corpus)
 	go test -run '^$$' -fuzz '^FuzzNodeListContains$$' -fuzztime $(FUZZTIME) ./internal/slurm/
+	go test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/etag/
 
 bench: check     ## CI gate + loadgen smoke on the simulated clock -> BENCH_latency.json
 	go run ./cmd/loadgen -smoke -users 25 -rounds 8 -interval 5s \

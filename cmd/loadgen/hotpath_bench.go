@@ -1,10 +1,11 @@
 // Hot-path benchmark (-hotpath): the regression harness for the encode-once
-// serving pipeline. Three phases run against the same warmed in-process
-// stack, all requests cache hits by construction (the simulated clock never
-// advances, so no source TTL expires mid-phase):
+// serving pipeline. Four phases run against warmed in-process servers over
+// one environment, all requests cache hits by construction (the simulated
+// clock never advances, so no source TTL expires mid-phase):
 //
-//  1. reencode:    rendered-response layer disabled — every request rebuilds
-//     the view model and re-marshals it (the pre-optimization hit path);
+//  1. reencode:    a second server built with the rendered-response layer
+//     disabled — every request rebuilds the view model and re-marshals it
+//     (the pre-optimization hit path);
 //  2. encode-once: rendered layer on — requests serve materialized bytes;
 //  3. revalidate:  clients present the stored ETag — responses are 304s;
 //  4. traced:      encode-once again with span tracing enabled but sampling
@@ -110,6 +111,41 @@ type hotpathRequest struct {
 	path string
 }
 
+// hotpathMix builds the request mix: every widget in hotpathWidgets for the
+// first four users (per-user rendered variants included). Requests are built
+// once and reused; contexts and headers the middleware attaches are
+// per-serve.
+func hotpathMix(users []string) ([]hotpathRequest, error) {
+	if len(users) > 4 {
+		users = users[:4]
+	}
+	var mix []hotpathRequest
+	for _, u := range users {
+		for _, path := range hotpathWidgets {
+			req, err := http.NewRequest(http.MethodGet, path, nil)
+			if err != nil {
+				return nil, fmt.Errorf("building %s: %w", path, err)
+			}
+			req.Header.Set(auth.UserHeader, u)
+			mix = append(mix, hotpathRequest{req: req, path: path})
+		}
+	}
+	return mix, nil
+}
+
+// warmMix serves every request of the mix once, filling both cache layers.
+func warmMix(server *core.Server, mix []hotpathRequest) error {
+	rec := &nullRecorder{header: make(http.Header)}
+	for _, r := range mix {
+		rec.reset()
+		server.ServeHTTP(rec, r.req)
+		if rec.status != http.StatusOK {
+			return fmt.Errorf("warm GET %s: status %d", r.path, rec.status)
+		}
+	}
+	return nil
+}
+
 // runHotpathPhase drives requests round-robin through the mux and measures
 // latency percentiles and exact allocs/op for the whole serve path.
 func runHotpathPhase(server *core.Server, mode string, reqs []hotpathRequest, rounds int, want int) (hotpathPhase, error) {
@@ -162,61 +198,47 @@ func runHotpathBench(requests int, benchOut string, minAllocRatio, maxTraceAlloc
 	}
 	defer st.close()
 	server := st.server
+	// Phases 1–3 measure the serving pipeline with tracing fully off —
+	// comparable with pre-tracing snapshots of this report.
+	reencodeServer, err := st.env.NewServerConfig(st.newsURL, core.Config{
+		RenderCacheDisabled: true,
+		Trace:               core.TraceConfig{Sample: -1},
+	})
+	if err != nil {
+		log.Fatalf("hotpath bench: %v", err)
+	}
+	defer reencodeServer.Close()
+	server.SetTraceSample(-1)
 
-	// Request mix: every widget for a handful of users (per-user rendered
-	// variants included). Requests are built once and reused; contexts and
-	// headers the middleware attaches are per-serve.
-	users := st.env.UserNames
-	if len(users) > 4 {
-		users = users[:4]
+	mix, err := hotpathMix(st.env.UserNames)
+	if err != nil {
+		log.Fatalf("hotpath bench: %v", err)
 	}
-	var mix []hotpathRequest
-	for _, u := range users {
-		for _, path := range hotpathWidgets {
-			req, err := http.NewRequest(http.MethodGet, path, nil)
-			if err != nil {
-				log.Fatalf("hotpath bench: building %s: %v", path, err)
-			}
-			req.Header.Set(auth.UserHeader, u)
-			mix = append(mix, hotpathRequest{req: req, path: path})
-		}
-	}
+	users := len(mix) / len(hotpathWidgets)
 	rounds := requests / len(mix)
 	if rounds < 1 {
 		rounds = 1
 	}
-
-	warm := func() {
-		rec := &nullRecorder{header: make(http.Header)}
-		for _, r := range mix {
-			rec.reset()
-			server.ServeHTTP(rec, r.req)
-			if rec.status != http.StatusOK {
-				log.Fatalf("hotpath bench: warm GET %s: status %d", r.path, rec.status)
-			}
+	warm := func(server *core.Server) {
+		if err := warmMix(server, mix); err != nil {
+			log.Fatalf("hotpath bench: %v", err)
 		}
 	}
 
 	log.Printf("hotpath bench: %d widgets x %d users, %d rounds per phase",
-		len(hotpathWidgets), len(users), rounds)
-
-	// Phases 1–3 measure the serving pipeline with tracing fully off —
-	// comparable with pre-tracing snapshots of this report.
-	server.SetTraceSample(-1)
+		len(hotpathWidgets), users, rounds)
 
 	// Phase 1: re-encode baseline. The source cache is warm (clock frozen),
 	// so every request is a cache hit that still rebuilds and re-marshals.
-	server.SetRenderCacheDisabled(true)
-	warm()
-	reencode, err := runHotpathPhase(server, "reencode", mix, rounds, http.StatusOK)
+	warm(reencodeServer)
+	reencode, err := runHotpathPhase(reencodeServer, "reencode", mix, rounds, http.StatusOK)
 	if err != nil {
 		log.Fatalf("hotpath bench: %v", err)
 	}
 
 	// Phase 2: encode-once. Warm fills the rendered cache; measured requests
 	// serve materialized bytes.
-	server.SetRenderCacheDisabled(false)
-	warm()
+	warm(server)
 	encodeOnce, err := runHotpathPhase(server, "encode_once", mix, rounds, http.StatusOK)
 	if err != nil {
 		log.Fatalf("hotpath bench: %v", err)
@@ -247,7 +269,7 @@ func runHotpathBench(requests int, benchOut string, minAllocRatio, maxTraceAlloc
 	// while guaranteeing no span is ever built — the overhead every
 	// untraced production request pays.
 	server.SetTraceSample(0)
-	warm()
+	warm(server)
 	traced, err := runHotpathPhase(server, "encode_once_traced", mix, rounds, http.StatusOK)
 	if err != nil {
 		log.Fatalf("hotpath bench: %v", err)
@@ -281,7 +303,7 @@ func runHotpathBench(requests int, benchOut string, minAllocRatio, maxTraceAlloc
 			Scenario:        "smoke",
 			GeneratedAt:     time.Now().UTC(),
 			Widgets:         hotpathWidgets,
-			Users:           len(users),
+			Users:           users,
 			Reencode:        reencode,
 			EncodeOnce:      encodeOnce,
 			Revalidate:      revalidate,

@@ -46,10 +46,12 @@ const (
 
 // pushStack is one phase's isolated dashboard: fresh workload (same seed, so
 // phases are comparable), counting runner, news and dashboard listeners.
+// An A/B bench builds its second server with env.NewServerConfig(newsURL, …).
 type pushStack struct {
 	env     *workload.Env
 	server  *core.Server
 	rpcs    *slurmcli.CountingRunner
+	newsURL string
 	baseURL string
 	close   func()
 }
@@ -74,7 +76,8 @@ func buildPushStackConfig(cfg core.Config) (*pushStack, error) {
 		return nil, fmt.Errorf("news listener: %w", err)
 	}
 	go func() { _ = http.Serve(newsLn, env.Feed) }()
-	server, err := env.NewServerConfig(fmt.Sprintf("http://%s/", newsLn.Addr()), cfg)
+	newsURL := fmt.Sprintf("http://%s/", newsLn.Addr())
+	server, err := env.NewServerConfig(newsURL, cfg)
 	if err != nil {
 		newsLn.Close()
 		return nil, fmt.Errorf("server: %w", err)
@@ -90,6 +93,7 @@ func buildPushStackConfig(cfg core.Config) (*pushStack, error) {
 		env:     env,
 		server:  server,
 		rpcs:    rpcs,
+		newsURL: newsURL,
 		baseURL: fmt.Sprintf("http://%s", dashLn.Addr()),
 		close: func() {
 			server.Close()

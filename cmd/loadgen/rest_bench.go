@@ -11,8 +11,8 @@
 //   - rest:      the client as the dashboard runs it — If-None-Match
 //     revalidation on, so unchanged responses come back 304 and the
 //     previously decoded envelope is reused. The server still executes the
-//     full build+marshal fill each request (its rendered cache is disabled,
-//     Options.CacheTTL 0); only the client's redundant decode is skipped.
+//     full build+marshal fill each request (it keeps no response cache);
+//     only the client's redundant decode is skipped.
 //
 // The rest side is the gated one (-max-rest-p95-ratio): it is the fill
 // path of a REST-backed dashboard in steady state, where most refreshes
@@ -232,9 +232,9 @@ func runRESTBench(rounds int, benchOut string, maxP95Ratio, maxColdRatio float64
 	if err != nil {
 		log.Fatalf("rest A/B: workload: %v", err)
 	}
-	// CacheTTL 0 disables the daemon's rendered cache: every REST request
-	// below executes the full server-side fill, matching the CLI side's
-	// per-call re-format; only client revalidation separates the REST sides.
+	// The daemon keeps no response cache: every REST request below executes
+	// the full server-side fill, matching the CLI side's per-call re-format;
+	// only client revalidation separates the REST sides.
 	if err := env.ProvisionREST(slurmrest.Options{}); err != nil {
 		log.Fatalf("rest A/B: provisioning REST: %v", err)
 	}

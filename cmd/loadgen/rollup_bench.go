@@ -7,8 +7,9 @@
 // request populations over identical sliding windows:
 //
 //   - rollup:  the production path — pre-aggregated buckets from the store;
-//   - raw:     the SetRollupDisabled ablation — the same windows recomputed
-//     by scanning raw accounting rows, i.e. the pre-optimization cost.
+//   - raw:     the ablation — a second server over the same environment,
+//     built with core.Config.RollupDisabled, recomputes the same windows by
+//     scanning raw accounting rows, i.e. the pre-optimization cost.
 //
 // Every timed window is shifted by whole days so its aligned bounds — and
 // therefore its cache key — are unique: each request is a cold read of the
@@ -125,11 +126,11 @@ func timeRollupRequests(server *core.Server, reqs []hotpathRequest) []time.Durat
 	return lats
 }
 
-// rollupGoldenCheck byte-compares rollup and raw-recompute responses over a
-// fixed wide window. The window's `to` edge is shifted by scaleIdx days so
-// each scale reads fresh cache entries. Returns paths checked and whether
-// all matched.
-func rollupGoldenCheck(server *core.Server, now time.Time, scaleIdx int, user string) (int, bool) {
+// rollupGoldenCheck byte-compares the rollup server's responses with the
+// raw-recompute server's over a fixed wide window. The window's `to` edge is
+// shifted by scaleIdx days so each scale reads fresh cache entries. Returns
+// paths checked and whether all matched.
+func rollupGoldenCheck(server, rawServer *core.Server, now time.Time, scaleIdx int, user string) (int, bool) {
 	day := now.Unix() - now.Unix()%86400
 	to := day - int64(scaleIdx)*86400
 	from := to - 600*86400
@@ -144,7 +145,7 @@ func rollupGoldenCheck(server *core.Server, now time.Time, scaleIdx int, user st
 		"/api/jobperf?" + window,
 		"/api/jobperf/timeseries?" + window + "&bucket=day",
 	}
-	get := func(path string) []byte {
+	get := func(server *core.Server, path string) []byte {
 		req, err := http.NewRequest(http.MethodGet, path, nil)
 		if err != nil {
 			log.Fatalf("rollup bench: building %s: %v", path, err)
@@ -159,11 +160,8 @@ func rollupGoldenCheck(server *core.Server, now time.Time, scaleIdx int, user st
 	}
 	ok := true
 	for _, path := range paths {
-		server.SetRollupDisabled(false)
-		rolled := get(path)
-		server.SetRollupDisabled(true)
-		raw := get(path)
-		server.SetRollupDisabled(false)
+		rolled := get(server, path)
+		raw := get(rawServer, path)
 		if string(rolled) != string(raw) {
 			ok = false
 			log.Printf("GOLDEN MISMATCH: %s\nrollup: %.200s\nraw:    %.200s", path, rolled, raw)
@@ -191,6 +189,12 @@ func runRollupBench(requests int, benchOut string, maxRatio float64) {
 	}
 	defer st.close()
 	server := st.server
+	cfg.RollupDisabled = true
+	rawServer, err := st.env.NewServerConfig(st.newsURL, cfg)
+	if err != nil {
+		log.Fatalf("rollup bench: %v", err)
+	}
+	defer rawServer.Close()
 	env := st.env
 	user := env.UserNames[0]
 	now := env.Clock.Now()
@@ -217,12 +221,10 @@ func runRollupBench(requests int, benchOut string, maxRatio float64) {
 		rollupLats := timeRollupRequests(server,
 			rollupBenchPaths(now, shiftBase, requests, user))
 
-		server.SetRollupDisabled(true)
-		rawLats := timeRollupRequests(server,
+		rawLats := timeRollupRequests(rawServer,
 			rollupBenchPaths(now, shiftBase+int64(requests+17), rawCounts[si], user))
-		server.SetRollupDisabled(false)
 
-		checked, goldenOK := rollupGoldenCheck(server, now, si, user)
+		checked, goldenOK := rollupGoldenCheck(server, rawServer, now, si, user)
 
 		row := rollupScaleRow{
 			Scale:          scale,

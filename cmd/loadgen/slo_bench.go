@@ -1,12 +1,12 @@
 // SLO benchmark (-slo): the regression harness for the live SLO engine,
 // with two independent gates.
 //
-// Overhead gate: the hit-path request mix from the hotpath bench runs twice
-// against one warmed in-process stack — once with SLI recording disabled
-// (the A/B switch core.Server.SetSLORecordingDisabled exposes for exactly
-// this purpose), once enabled. The difference in exact allocations per
-// request is what error-budget accounting costs every production request;
-// -max-slo-allocs fails the run if it exceeds that many allocs/op.
+// Overhead gate: the hit-path request mix from the hotpath bench runs against
+// two warmed in-process servers over one environment — one built with SLI
+// recording disabled (core.SLOConfig.Disabled), one with it enabled. The
+// difference in exact allocations per request is what error-budget
+// accounting costs every production request; -max-slo-allocs fails the run
+// if it exceeds that many allocs/op.
 //
 // Alerting gate: every scenario in the internal/chaos catalog replays
 // in-process with the chaos-tuned objectives. Run.Execute already enforces
@@ -29,8 +29,8 @@ import (
 	"os"
 	"time"
 
-	"ooddash/internal/auth"
 	"ooddash/internal/chaos"
+	"ooddash/internal/core"
 )
 
 // sloAlertRow is one burn-rate rule's lifetime outcome in one scenario.
@@ -71,7 +71,8 @@ type sloReport struct {
 }
 
 // runSLOOverhead measures the hit-path allocation cost of SLI recording:
-// same warmed encode-once stack, same request mix, recording off then on.
+// two warmed encode-once servers over one environment, same request mix,
+// recording off then on.
 func runSLOOverhead(requests int) (off, on hotpathPhase, err error) {
 	st, err := buildPushStack()
 	if err != nil {
@@ -80,50 +81,33 @@ func runSLOOverhead(requests int) (off, on hotpathPhase, err error) {
 	defer st.close()
 	server := st.server
 	server.SetTraceSample(-1) // tracing out of the comparison entirely
-
-	users := st.env.UserNames
-	if len(users) > 4 {
-		users = users[:4]
+	offServer, err := st.env.NewServerConfig(st.newsURL, core.Config{
+		SLO:   core.SLOConfig{Disabled: true},
+		Trace: core.TraceConfig{Sample: -1},
+	})
+	if err != nil {
+		return off, on, fmt.Errorf("recording-off server: %w", err)
 	}
-	var mix []hotpathRequest
-	for _, u := range users {
-		for _, path := range hotpathWidgets {
-			req, rerr := http.NewRequest(http.MethodGet, path, nil)
-			if rerr != nil {
-				return off, on, fmt.Errorf("building %s: %w", path, rerr)
-			}
-			req.Header.Set(auth.UserHeader, u)
-			mix = append(mix, hotpathRequest{req: req, path: path})
-		}
+	defer offServer.Close()
+
+	mix, err := hotpathMix(st.env.UserNames)
+	if err != nil {
+		return off, on, err
 	}
 	rounds := requests / len(mix)
 	if rounds < 1 {
 		rounds = 1
 	}
 
-	warm := func() error {
-		rec := &nullRecorder{header: make(http.Header)}
-		for _, r := range mix {
-			rec.reset()
-			server.ServeHTTP(rec, r.req)
-			if rec.status != http.StatusOK {
-				return fmt.Errorf("warm GET %s: status %d", r.path, rec.status)
-			}
-		}
-		return nil
-	}
-
-	server.SetSLORecordingDisabled(true)
-	if err := warm(); err != nil {
+	if err := warmMix(offServer, mix); err != nil {
 		return off, on, err
 	}
-	off, err = runHotpathPhase(server, "slo_recording_off", mix, rounds, http.StatusOK)
+	off, err = runHotpathPhase(offServer, "slo_recording_off", mix, rounds, http.StatusOK)
 	if err != nil {
 		return off, on, err
 	}
 
-	server.SetSLORecordingDisabled(false)
-	if err := warm(); err != nil {
+	if err := warmMix(server, mix); err != nil {
 		return off, on, err
 	}
 	on, err = runHotpathPhase(server, "slo_recording_on", mix, rounds, http.StatusOK)

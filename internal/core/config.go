@@ -23,6 +23,29 @@ type CacheTTLs struct {
 	JobDetail     time.Duration // scontrol show job <id>
 }
 
+// Fixed serving limits and windows.
+const (
+	// recentJobsLimit bounds the homepage Recent Jobs widget.
+	recentJobsLimit = 8
+	// announcementsLimit bounds the homepage Announcements widget.
+	announcementsLimit = 10
+	// logTailLines bounds the Job Overview output/error views (§7: the
+	// interface shows only the most recent 1000 lines).
+	logTailLines = 1000
+	// staleFor is how long past its TTL a cached value stays servable as a
+	// degraded fallback when its source is down.
+	staleFor = 15 * time.Minute
+	// purgeInterval is how often the long-running server sweeps entries past
+	// their stale grace window out of the server and rendered-response
+	// caches, bounding memory growth (purge.go).
+	purgeInterval = time.Minute
+)
+
+// pushWidgets are the push-enabled widgets: the allowed ?widgets= values on
+// /api/events and the subscription a client gets when it names none — the
+// §2.4 homepage set whose polling traffic the push layer replaces.
+var pushWidgets = []string{"announcements", "recent_jobs", "system_status", "accounts", "storage"}
+
 // DefaultTTLs returns the paper's cache configuration.
 func DefaultTTLs() CacheTTLs {
 	return CacheTTLs{
@@ -41,10 +64,6 @@ func DefaultTTLs() CacheTTLs {
 // ResilienceConfig tunes the fault-handling layer between the cache and the
 // data sources.
 type ResilienceConfig struct {
-	// StaleFor is how long past its TTL a cached value stays servable as a
-	// degraded fallback when its source is down. Zero means the default
-	// (15 minutes); negative disables stale serving entirely.
-	StaleFor time.Duration
 	// Policy is the base retry/timeout/breaker policy applied to every data
 	// source; zero-valued fields fall back to resilience.DefaultPolicy. The
 	// server adds the per-source availability classifier itself.
@@ -87,9 +106,6 @@ type PushConfig struct {
 	// Disabled turns the push path off; /api/events then serves only the
 	// legacy delta-poll feed and no background refreshing happens.
 	Disabled bool
-	// Widgets lists the push-enabled widgets (the allowed ?widgets= values
-	// and the default subscription set). Empty means DefaultPushWidgets.
-	Widgets []string
 	// Heartbeat is the SSE keep-alive comment interval (wall clock, since
 	// it exists to keep real sockets open). Zero means 15 s; negative
 	// disables heartbeats.
@@ -104,13 +120,6 @@ type PushConfig struct {
 	DisableIdlePause bool
 }
 
-// DefaultPushWidgets are the homepage widgets the SSE stream subscribes to
-// when the client names none — the §2.4 set whose polling traffic the push
-// layer replaces.
-func DefaultPushWidgets() []string {
-	return []string{"announcements", "recent_jobs", "system_status", "accounts", "storage"}
-}
-
 // TraceConfig tunes the span-tracing subsystem (internal/trace). Semantics
 // of the zero and negative values are delegated to trace.New: a zero field
 // takes the documented default, a negative one disables that feature.
@@ -122,13 +131,9 @@ type TraceConfig struct {
 	Slow time.Duration
 	// StoreMax bounds retained traces (0 = 256).
 	StoreMax int
-	// SlowKeepN is the slowest-N-per-widget-per-window retention (0 = 5).
-	SlowKeepN int
 	// Baseline is the probabilistic keep rate for fast, healthy traces
 	// (0 = 0.05).
 	Baseline float64
-	// Window is the slowest-N tracking window (0 = 1 minute).
-	Window time.Duration
 }
 
 // SLOConfig tunes the live SLO engine (internal/slo): per-objective SLI
@@ -136,8 +141,8 @@ type TraceConfig struct {
 // ledger, and multi-window burn-rate alerting.
 type SLOConfig struct {
 	// Disabled turns hit-path SLI recording off (the engine still exists,
-	// so /api/admin/slo answers with empty windows). The benchmarks use
-	// the runtime toggle (SetSLORecordingDisabled) instead.
+	// so /api/admin/slo answers with empty windows). The SLO overhead
+	// benchmark builds one server each way to measure what recording costs.
 	Disabled bool
 	// Objectives overrides the objective set; empty means
 	// slo.DefaultObjectives(). Invalid objectives fail NewServer.
@@ -151,13 +156,6 @@ type Config struct {
 	// TTLs are the per-source cache expirations; zero-valued fields fall
 	// back to DefaultTTLs.
 	TTLs CacheTTLs
-	// RecentJobsLimit bounds the homepage Recent Jobs widget.
-	RecentJobsLimit int
-	// LogTailLines bounds the Job Overview output/error views (§7: the
-	// interface shows only the most recent 1000 lines).
-	LogTailLines int
-	// AnnouncementsLimit bounds the homepage Announcements widget.
-	AnnouncementsLimit int
 	// UserGuideURL is linked from the Accounts widget header.
 	UserGuideURL string
 	// Backend selects, per Slurm daemon, the CLI or REST data path.
@@ -172,11 +170,15 @@ type Config struct {
 	// SLO tunes the live SLO engine (objectives, error budgets, burn-rate
 	// alerting).
 	SLO SLOConfig
-	// PurgeInterval is how often the long-running server sweeps entries past
-	// their stale grace window out of the server and rendered-response
-	// caches, bounding memory growth. Zero means the default (1 minute);
-	// negative disables periodic purging.
-	PurgeInterval time.Duration
+	// RenderCacheDisabled turns the rendered-response layer off: every
+	// request rebuilds and re-encodes its payload (render.go). The hot-path
+	// benchmark builds one server each way to measure what encode-once
+	// saves.
+	RenderCacheDisabled bool
+	// RollupDisabled serves the rollup-backed widgets by scanning raw
+	// accounting rows instead of reading pre-aggregated buckets (rollup.go):
+	// the golden reference the rollup tests and benchmark compare against.
+	RollupDisabled bool
 }
 
 // withDefaults fills unset fields.
@@ -218,32 +220,14 @@ func (c Config) withDefaults() Config {
 	if c.Backend.Slurmdbd == "" {
 		c.Backend.Slurmdbd = BackendCLI
 	}
-	if c.RecentJobsLimit == 0 {
-		c.RecentJobsLimit = 8
-	}
-	if c.LogTailLines == 0 {
-		c.LogTailLines = 1000
-	}
-	if c.AnnouncementsLimit == 0 {
-		c.AnnouncementsLimit = 10
-	}
 	if c.UserGuideURL == "" {
 		c.UserGuideURL = "https://www.rcac.example.edu/knowledge/accounts"
-	}
-	switch {
-	case c.Resilience.StaleFor == 0:
-		c.Resilience.StaleFor = 15 * time.Minute
-	case c.Resilience.StaleFor < 0:
-		c.Resilience.StaleFor = 0
 	}
 	switch {
 	case c.Resilience.MaxConcurrentFills == 0:
 		c.Resilience.MaxConcurrentFills = 32
 	case c.Resilience.MaxConcurrentFills < 0:
 		c.Resilience.MaxConcurrentFills = 0
-	}
-	if len(c.Push.Widgets) == 0 {
-		c.Push.Widgets = DefaultPushWidgets()
 	}
 	switch {
 	case c.Push.Heartbeat == 0:
@@ -256,12 +240,6 @@ func (c Config) withDefaults() Config {
 		c.Push.Jitter = 0.25
 	case c.Push.Jitter < 0:
 		c.Push.Jitter = 0
-	}
-	switch {
-	case c.PurgeInterval == 0:
-		c.PurgeInterval = time.Minute
-	case c.PurgeInterval < 0:
-		c.PurgeInterval = 0
 	}
 	return c
 }

@@ -82,7 +82,7 @@ func (m *fetchMeta) absorb(other fetchMeta) {
 // degraded, or error — lands in the fetch-results counter.
 func (s *Server) fetchVia(r *http.Request, source, key string, ttl time.Duration, compute func(context.Context) (any, error)) (any, fetchMeta, error) {
 	gate := s.fills[source]
-	res, err := s.cache.FetchStaleCtx(r.Context(), key, ttl, s.cfg.Resilience.StaleFor, func(ctx context.Context) (any, error) {
+	res, err := s.cache.FetchStaleCtx(r.Context(), key, ttl, staleFor, func(ctx context.Context) (any, error) {
 		// Admission runs inside the cache's compute so singleflight waiters
 		// never consume slots, and before the resilience layer so a rejected
 		// fill is backpressure — it neither retries nor trips the breaker. A

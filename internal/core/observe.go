@@ -650,7 +650,7 @@ func (s *Server) instrument(widget string, h http.HandlerFunc) http.HandlerFunc 
 		degraded := len(w.Header()[degradedHeaderKey]) > 0
 
 		lat.Observe(seconds)
-		if spannable && !s.sloOff.Load() {
+		if spannable && !s.cfg.SLO.Disabled {
 			// SLI recording: latency uses the wall-clock elapsed (stalls are
 			// real time even when the scenario script runs on the simulated
 			// clock); window bucketing and alert evaluation happen on the

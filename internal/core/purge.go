@@ -6,7 +6,7 @@ import "time"
 // but nothing called it in the long-running server, so the server cache (and
 // now the rendered-response cache, whose keys include per-user variants and
 // query strings) grew without bound over weeks of uptime. The server sweeps
-// both caches every Config.PurgeInterval: production servers get a
+// both caches every purgeInterval: production servers get a
 // wall-clock ticker from StartPush, simulated-clock runs get the same sweep
 // from TickPush, and both paths share purgeNow so the /metrics counters
 // agree.
@@ -24,16 +24,13 @@ func (s *Server) purgeNow() int {
 	return n
 }
 
-// maybePurge sweeps when at least PurgeInterval has elapsed on the shared
+// maybePurge sweeps when at least purgeInterval has elapsed on the shared
 // clock since the last sweep — the simulated-clock path, driven from
 // TickPush.
 func (s *Server) maybePurge() {
-	if s.cfg.PurgeInterval <= 0 {
-		return
-	}
 	now := s.clock.Now()
 	s.purgeMu.Lock()
-	due := now.Sub(s.lastPurge) >= s.cfg.PurgeInterval
+	due := now.Sub(s.lastPurge) >= purgeInterval
 	if due {
 		// Claim the sweep before unlocking so concurrent callers don't stack.
 		s.lastPurge = now
@@ -47,16 +44,11 @@ func (s *Server) maybePurge() {
 	}
 }
 
-// startPurgeLoop runs the wall-clock sweep until Close. The interval is the
-// configured PurgeInterval (it bounds how long a dead entry can linger, so
-// the data clock is irrelevant here); a non-positive interval disables the
-// loop.
+// startPurgeLoop runs the wall-clock sweep until Close. The interval bounds
+// how long a dead entry can linger, so the data clock is irrelevant here.
 func (s *Server) startPurgeLoop() {
-	if s.cfg.PurgeInterval <= 0 {
-		return
-	}
 	go func() {
-		t := time.NewTicker(s.cfg.PurgeInterval)
+		t := time.NewTicker(purgeInterval)
 		defer t.Stop()
 		for {
 			select {

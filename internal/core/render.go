@@ -74,11 +74,6 @@ func (s *Server) RenderStats() (hits, misses int64) {
 	return s.renderHits.Load(), s.renderMisses.Load()
 }
 
-// SetRenderCacheDisabled toggles the rendered-response layer off, forcing
-// every request down the encode-per-request path. The hot-path benchmark
-// uses it to measure the re-encode baseline on the same process.
-func (s *Server) SetRenderCacheDisabled(off bool) { s.renderOff.Store(off) }
-
 // renderKey builds the rendered-cache key: widget, user variant, and the
 // full request URI (path values and query parameters both shape the body).
 // The NUL separators cannot appear in any component, so distinct triples
@@ -93,8 +88,8 @@ func renderKey(widget, variant, uri string) string {
 // constructs the view model (it runs only on a render miss).
 //
 // Ineligible responses — degraded, uncacheable (rev 0), or with the layer
-// toggled off — build and encode per request via writeWidgetJSON, exactly as
-// before this layer existed.
+// turned off by Config.RenderCacheDisabled — build and encode per request
+// via writeWidgetJSON, exactly as before this layer existed.
 func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetchMeta, variant string, build func() (any, error)) {
 	if variant != "" {
 		// Identity-variant payload: scope any fronting cache to the user
@@ -102,7 +97,7 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 		// per-request fallback) writes headers. See setPrivateCache.
 		setPrivateCache(w.Header())
 	}
-	if meta.Degraded || meta.rev == 0 || meta.ttl <= 0 || s.renderOff.Load() {
+	if meta.Degraded || meta.rev == 0 || meta.ttl <= 0 || s.cfg.RenderCacheDisabled {
 		v, err := build()
 		if err != nil {
 			writeError(w, err)
@@ -160,5 +155,4 @@ type renderCounters struct {
 	renderHits    atomic.Int64
 	renderMisses  atomic.Int64
 	renderEncodes atomic.Int64
-	renderOff     atomic.Bool
 }

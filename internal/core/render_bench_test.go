@@ -21,9 +21,7 @@ func benchServe(b *testing.B, path string, renderOff bool, ifNoneMatch bool) {
 // benchServeSampled is benchServe with an explicit head-sampling setting
 // (-1 tracing off, 0 sampled-out, 1 every request traced).
 func benchServeSampled(b *testing.B, path string, renderOff bool, ifNoneMatch bool, sample float64) {
-	e, req, tag := warmWidget(b, path, sample)
-	e.server.SetRenderCacheDisabled(renderOff)
-	defer e.server.SetRenderCacheDisabled(false)
+	e, req, tag := warmWidget(b, path, sample, renderOff)
 	want := http.StatusOK
 	if ifNoneMatch {
 		req.Header.Set("If-None-Match", tag)
@@ -37,11 +35,12 @@ func benchServeSampled(b *testing.B, path string, renderOff bool, ifNoneMatch bo
 	}
 }
 
-// warmWidget builds an env with some queue history, sets the trace sample,
-// and serves path once as alice to warm both cache layers. It returns the
-// request to replay and the ETag the warm response carried.
-func warmWidget(tb testing.TB, path string, sample float64) (*env, *http.Request, string) {
-	e := newEnv(tb)
+// warmWidget builds an env with some queue history (and the rendered layer
+// off when renderOff), sets the trace sample, and serves path once as alice
+// to warm both cache layers. It returns the request to replay and the ETag
+// the warm response carried.
+func warmWidget(tb testing.TB, path string, sample float64, renderOff bool) (*env, *http.Request, string) {
+	e := newEnvWith(tb, func(c *Config) { c.RenderCacheDisabled = renderOff }, nil)
 	for i := 0; i < 20; i++ {
 		e.submit(slurm.SubmitRequest{Name: fmt.Sprintf("j%d", i), User: "alice",
 			Account: "lab-a", Partition: "cpu", ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512}})

@@ -113,12 +113,10 @@ func TestRenderedRevGuardInvalidation(t *testing.T) {
 	}
 }
 
-// TestRenderCacheDisabledFallback asserts the benchmark baseline toggle
+// TestRenderCacheDisabledFallback asserts the benchmark baseline setting
 // really forces a fresh encode per request.
 func TestRenderCacheDisabledFallback(t *testing.T) {
-	e := newEnv(t)
-	e.server.SetRenderCacheDisabled(true)
-	defer e.server.SetRenderCacheDisabled(false)
+	e := newEnvWith(t, func(c *Config) { c.RenderCacheDisabled = true }, nil)
 
 	e.wantStatus("alice", "/api/system_status", http.StatusOK)
 	n := e.server.RenderEncodes()
@@ -185,7 +183,7 @@ func TestAnnotateDegradedBytes(t *testing.T) {
 // expensive than the response it saves: answering If-None-Match with 304
 // must not allocate more than writing the stored 200 body.
 func TestRevalidate304AllocsNoMoreThan200(t *testing.T) {
-	e, req, tag := warmWidget(t, "/api/myjobs", -1)
+	e, req, tag := warmWidget(t, "/api/myjobs", -1, false)
 	cond := req.Clone(req.Context())
 	cond.Header.Set("If-None-Match", tag)
 	full := testing.AllocsPerRun(200, func() { serveLoopback(t, e, req, http.StatusOK) })

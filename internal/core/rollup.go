@@ -126,8 +126,8 @@ type rollupSeries struct {
 // fetchRollup is the cached read every rollup-backed widget goes through.
 // The window is aligned outward to whole buckets before it becomes the
 // cache key, so requests that differ only inside one bucket share an entry.
-// With the ablation on (SetRollupDisabled) the same window is recomputed
-// from raw accounting rows under a ":raw"-suffixed key.
+// On a server built with Config.RollupDisabled the same window is
+// recomputed from raw accounting rows.
 func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetchMeta, error) {
 	now := s.clock.Now()
 	res, selection, err := pickResolution(now, q.start, q.end, q.bucket)
@@ -137,13 +137,10 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 	s.obsm.rollupQueries.With(resolutionName(res), selection).Inc()
 	alignedStart := alignDown(q.start.Unix(), res)
 	alignedEnd := alignUp(q.end.Unix(), res)
-	raw := s.rollupOff.Load()
+	raw := s.cfg.RollupDisabled
 	key := "rollup:" + q.scope + ":" + q.name + ":" +
 		strconv.FormatInt(alignedStart, 10) + ":" + strconv.FormatInt(alignedEnd, 10) + ":" +
 		strconv.FormatInt(res, 10)
-	if raw {
-		key += ":raw"
-	}
 	v, meta, err := s.fetchVia(r, srcDBD, key, s.cfg.TTLs.JobHistory, func(ctx context.Context) (any, error) {
 		var sp *trace.Span
 		if trace.SpanFromContext(ctx) != nil {
@@ -170,13 +167,6 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 	if err != nil {
 		return rollupSeries{}, fetchMeta{}, err
 	}
-	if raw {
-		// The ablated recompute must not ride the rendered cache: its render
-		// key equals the rollup path's and cache revs can collide across
-		// entries, so materialized rollup bytes could answer a raw request.
-		// rev 0 forces encode-per-request — the bytes are identical either way.
-		meta.rev = 0
-	}
 	rows, _ := v.([]slurm.RollupRow)
 	return rollupSeries{
 		Rows: rows, Res: res,
@@ -192,7 +182,7 @@ func (s *Server) fetchRollup(r *http.Request, q rollupQuery) (rollupSeries, fetc
 // the bounds are recomputed by scanning accounting, keeping the two paths
 // byte-identical end to end.
 func (s *Server) rollupBounds(r *http.Request, scope, name string) (minEnd, maxEnd int64, ok bool, err error) {
-	if s.rollupOff.Load() {
+	if s.cfg.RollupDisabled {
 		v, rerr := s.runResilient(r, srcDBD, func(ctx context.Context) (any, error) {
 			return s.dbdBk.Sacct(ctx, sacctScopeOptions(scope, name, time.Time{}, time.Time{}))
 		})
@@ -248,8 +238,9 @@ func sacctScopeOptions(scope, name string, start, end time.Time) slurmcli.SacctO
 
 // rawRollupRows recomputes a rollup window from raw accounting rows — the
 // O(jobs) scan the pipeline replaces, kept as the golden reference: the
-// equivalence test and the loadgen ablation flip SetRollupDisabled and
-// assert byte-identical responses. The fold feeds AddSample the same
+// equivalence test and the loadgen ablation serve each window from a
+// Config.RollupDisabled server beside a normal one and assert
+// byte-identical responses. The fold feeds AddSample the same
 // wire-truncated inputs the daemon's ingest derives from the job record, so
 // the sums match bit for bit.
 func (s *Server) rawRollupRows(ctx context.Context, scope, name string, startSec, endSec, res int64) ([]slurm.RollupRow, error) {
@@ -310,10 +301,3 @@ func (s *Server) rawRollupRows(ctx context.Context, scope, name string, startSec
 	})
 	return out, nil
 }
-
-// SetRollupDisabled toggles the raw-recompute ablation: when true, every
-// rollup-backed widget recomputes its window by scanning raw accounting
-// rows instead of reading the pre-aggregated buckets. The loadgen bench
-// flips this to measure what the pipeline saves; responses must stay
-// byte-identical across the toggle.
-func (s *Server) SetRollupDisabled(off bool) { s.rollupOff.Store(off) }

@@ -10,12 +10,14 @@ import (
 
 // TestRollupGoldenEquivalence is the ablation contract: every rollup-backed
 // route serves byte-identical JSON whether the window comes from the
-// incremental store or is recomputed by scanning raw accounting rows
-// (SetRollupDisabled). Any drift here means the ingest fold and the raw
-// fold disagree on some job.
+// incremental store or is recomputed by scanning raw accounting rows (a
+// second server over the same cluster, built with Config.RollupDisabled).
+// Any drift here means the ingest fold and the raw fold disagree on some
+// job.
 func TestRollupGoldenEquivalence(t *testing.T) {
 	e := newEnv(t)
 	seedMixedHistory(e)
+	rawServer := e.newServer(func(c *Config) { c.RollupDisabled = true })
 	paths := []struct{ user, path string }{
 		{"alice", "/api/jobperf/timeseries?range=24h&bucket=hour"},
 		{"alice", "/api/jobperf/timeseries?range=24h"},
@@ -31,15 +33,12 @@ func TestRollupGoldenEquivalence(t *testing.T) {
 		{"alice", "/api/usage/efficiency?range=30d"},
 	}
 	for _, p := range paths {
-		e.server.SetRollupDisabled(false)
 		status, rolled := e.get(p.user, p.path)
 		if status != 200 {
 			t.Errorf("%s: rollup status %d: %s", p.path, status, rolled)
 			continue
 		}
-		e.server.SetRollupDisabled(true)
-		status, raw := e.get(p.user, p.path)
-		e.server.SetRollupDisabled(false)
+		status, raw := serve(rawServer, p.user, p.path)
 		if status != 200 {
 			t.Errorf("%s: raw status %d: %s", p.path, status, raw)
 			continue

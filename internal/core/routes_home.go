@@ -47,7 +47,7 @@ func (s *Server) handleAnnouncements(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	v, meta, err := s.fetchVia(r, srcNews, "announcements", s.cfg.TTLs.Announcements, func(context.Context) (any, error) {
-		return s.news.Fetch(s.cfg.AnnouncementsLimit)
+		return s.news.Fetch(announcementsLimit)
 	})
 	if err != nil {
 		writeFetchError(w, err)
@@ -106,7 +106,7 @@ func (s *Server) handleRecentJobs(w http.ResponseWriter, r *http.Request) {
 	key := "recent_jobs:" + user.Name
 	v, meta, err := s.fetchVia(r, srcCtld, key, s.cfg.TTLs.RecentJobs, func(ctx context.Context) (any, error) {
 		return s.ctldBk.Squeue(ctx, slurmcli.SqueueOptions{
-			User: user.Name, AllStates: true, Limit: s.cfg.RecentJobsLimit,
+			User: user.Name, AllStates: true, Limit: recentJobsLimit,
 		})
 	})
 	if err != nil {

@@ -330,7 +330,7 @@ func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: job %d has no %s log", errNotFound, id, stream))
 		return
 	}
-	lines, total, err := s.logs.ReadTail(path, s.cfg.LogTailLines)
+	lines, total, err := s.logs.ReadTail(path, logTailLines)
 	if err != nil {
 		writeError(w, fmt.Errorf("%w: %v", errNotFound, err))
 		return

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
@@ -338,33 +337,15 @@ func TestMyJobsCachedPerUserWindow(t *testing.T) {
 	}
 }
 
-// coldServer builds a second dashboard over e's cluster with an empty cache:
-// what a server started at this instant serves.
-func (e *env) coldServer() *Server {
-	e.t.Helper()
-	s, err := NewServer(Config{ClusterName: "testcluster"}, Deps{
-		Runner: slurmcli.NewSimRunner(e.cluster), Users: e.users, Logs: e.logs,
-		Clock: e.clock, Events: e.cluster.Ctl,
-	})
-	if err != nil {
-		e.t.Fatal(err)
-	}
-	e.t.Cleanup(s.Close)
-	return s
-}
-
 // wantColdBody requires e's server to serve path exactly as a cold server
-// does at this instant.
+// (one started at this instant) does.
 func (e *env) wantColdBody(user, path string) []byte {
 	e.t.Helper()
 	status, got := e.get(user, path)
-	req := httptest.NewRequest(http.MethodGet, path, nil)
-	req.Header.Set(auth.UserHeader, user)
-	cold := httptest.NewRecorder()
-	e.coldServer().ServeHTTP(cold, req)
-	if status != http.StatusOK || cold.Code != http.StatusOK || string(got) != cold.Body.String() {
+	coldStatus, cold := serve(e.newServer(nil), user, path)
+	if status != http.StatusOK || coldStatus != http.StatusOK || string(got) != string(cold) {
 		e.t.Fatalf("%s at %s: status %d, cold %d; bodies differ\nwarm: %s\ncold: %s",
-			path, e.clock.Now().Format(time.RFC3339Nano), status, cold.Code, got, cold.Body)
+			path, e.clock.Now().Format(time.RFC3339Nano), status, coldStatus, got, cold)
 	}
 	return got
 }

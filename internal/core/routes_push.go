@@ -5,6 +5,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,13 +161,9 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // parseSubscription resolves the requested widget set against the
 // push-enabled table, returning routes in deterministic order.
 func (s *Server) parseSubscription(r *http.Request) ([]pushRoute, error) {
-	names := s.cfg.Push.Widgets
+	names := pushWidgets
 	if raw := r.URL.Query().Get("widgets"); raw != "" {
 		names = strings.Split(raw, ",")
-	}
-	enabled := make(map[string]bool, len(s.cfg.Push.Widgets))
-	for _, n := range s.cfg.Push.Widgets {
-		enabled[n] = true
 	}
 	seen := make(map[string]bool, len(names))
 	routes := make([]pushRoute, 0, len(names))
@@ -177,7 +174,7 @@ func (s *Server) parseSubscription(r *http.Request) ([]pushRoute, error) {
 		}
 		seen[n] = true
 		route, ok := s.pushRoutes[n]
-		if !ok || !enabled[n] {
+		if !ok || !slices.Contains(pushWidgets, n) {
 			return nil, fmt.Errorf("%w: widget %q is not push-enabled", errBadRequest, n)
 		}
 		routes = append(routes, route)

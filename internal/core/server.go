@@ -117,18 +117,14 @@ type Server struct {
 	// peer-propagated snapshots before touching the local fetch path.
 	fleet fleetPtr
 
-	// rollupStats feeds the rollup store gauges on /metrics (may be nil);
-	// rollupOff switches the historical widgets to the raw-recompute
-	// ablation (see rollup.go).
+	// rollupStats feeds the rollup store gauges on /metrics (may be nil).
 	rollupStats func() slurm.RollupStats
-	rollupOff   atomic.Bool
 
 	// sloEng is the live SLO engine: the instrument middleware records
-	// every response into it, TickPush advances its alert state machines,
-	// and /api/admin/slo plus the ooddash_slo_* families render it. sloOff
-	// gates hit-path recording (the overhead-ablation benchmarks toggle it).
+	// every response into it (unless Config.SLO.Disabled), TickPush
+	// advances its alert state machines, and /api/admin/slo plus the
+	// ooddash_slo_* families render it.
 	sloEng *slo.Engine
-	sloOff atomic.Bool
 }
 
 // NewServer builds the dashboard from its dependencies.
@@ -167,7 +163,6 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// collectors can be registered; it shares the server clock, so chaos
 	// drills evaluate alerts deterministically on simulated time.
 	s.sloEng = slo.New(deps.Clock, s.cfg.SLO.Objectives)
-	s.sloOff.Store(s.cfg.SLO.Disabled)
 	s.rendered = cache.New(deps.Clock)
 	s.lastPurge = deps.Clock.Now()
 	s.fills = newFillGates(s.cfg.Resilience.MaxConcurrentFills)
@@ -198,13 +193,11 @@ func NewServer(cfg Config, deps Deps) (*Server, error) {
 	// registered as collectors; its hooks read s.obsm/s.accessLog lazily (both
 	// are set before any request can be served).
 	s.tracer = trace.New(trace.Config{
-		Clock:     deps.Clock,
-		Sample:    s.cfg.Trace.Sample,
-		Slow:      s.cfg.Trace.Slow,
-		StoreMax:  s.cfg.Trace.StoreMax,
-		SlowKeepN: s.cfg.Trace.SlowKeepN,
-		Baseline:  s.cfg.Trace.Baseline,
-		Window:    s.cfg.Trace.Window,
+		Clock:    deps.Clock,
+		Sample:   s.cfg.Trace.Sample,
+		Slow:     s.cfg.Trace.Slow,
+		StoreMax: s.cfg.Trace.StoreMax,
+		Baseline: s.cfg.Trace.Baseline,
 		OnSpan: func(layer string, seconds float64) {
 			s.obsm.traceSpans.With(layer).Observe(seconds)
 		},
@@ -282,11 +275,6 @@ func (s *Server) SetTraceSample(p float64) { s.tracer.SetSample(p) }
 
 // SLO exposes the live SLO engine (fleet aggregation, tests, drills).
 func (s *Server) SLO() *slo.Engine { return s.sloEng }
-
-// SetSLORecordingDisabled toggles hit-path SLI recording at runtime. The
-// overhead benchmark measures the same request stream with recording off
-// and on to prove the delta stays within its alloc budget.
-func (s *Server) SetSLORecordingDisabled(off bool) { s.sloOff.Store(off) }
 
 // runnerCtx returns the server's runner bound to ctx so Slurm commands made
 // on behalf of this request contribute spans; outside a traced request it is

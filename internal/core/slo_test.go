@@ -99,14 +99,14 @@ func TestSLOMiddlewareRecording(t *testing.T) {
 		t.Fatalf("observability GETs recorded SLI events: good %d->%d bad %d->%d", g1, g2, b1, b2)
 	}
 
-	// Recording can be toggled off at runtime (the bench A/B switch).
-	e.server.SetSLORecordingDisabled(true)
-	e.wantStatus("alice", "/api/recent_jobs", http.StatusOK)
-	g3, _ := e.server.SLO().EventTotals("availability")
-	if g3 != g2 {
-		t.Fatalf("disabled recorder still counted: good %d->%d", g2, g3)
+	// A server built with recording off (the bench A/B side) records nothing.
+	off := e.newServer(func(c *Config) { c.SLO.Disabled = true })
+	if status, body := serve(off, "alice", "/api/recent_jobs"); status != http.StatusOK {
+		t.Fatalf("recording-off server: status %d: %s", status, body)
 	}
-	e.server.SetSLORecordingDisabled(false)
+	if g3, b3 := off.SLO().EventTotals("availability"); g3 != 0 || b3 != 0 {
+		t.Fatalf("disabled recorder still counted: good %d bad %d", g3, b3)
+	}
 }
 
 // sloDrillObjectives are chaos-scale objectives for the determinism drill:

@@ -132,6 +132,37 @@ func newEnvDeps(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Run
 	}
 }
 
+// newServer builds a second dashboard over e's cluster, users, storage, logs
+// and news feed with an empty cache; mutate adjusts its config (nil keeps
+// the defaults). It is the other side of a config A/B over one cluster.
+func (e *env) newServer(mutate func(*Config)) *Server {
+	e.t.Helper()
+	cfg := Config{ClusterName: "testcluster"}
+	if mutate != nil {
+		mutate(&cfg)
+	}
+	s, err := NewServer(cfg, Deps{
+		Runner:  slurmcli.NewSimRunner(e.cluster),
+		News:    &newsfeed.Client{BaseURL: e.feedSrv.URL, HTTPClient: e.feedSrv.Client()},
+		Storage: e.storage, Users: e.users, Logs: e.logs,
+		Clock: e.clock, Events: e.cluster.Ctl, RollupStats: e.cluster.DBD.RollupStats,
+	})
+	if err != nil {
+		e.t.Fatal(err)
+	}
+	e.t.Cleanup(s.Close)
+	return s
+}
+
+// serve runs an authenticated GET on s in process and returns status + body.
+func serve(s *Server, user, path string) (int, []byte) {
+	req := httptest.NewRequest(http.MethodGet, path, nil)
+	req.Header.Set(auth.UserHeader, user)
+	rec := httptest.NewRecorder()
+	s.ServeHTTP(rec, req)
+	return rec.Code, rec.Body.Bytes()
+}
+
 // submit enqueues a job with sensible defaults and runs a scheduling tick.
 func (e *env) submit(req slurm.SubmitRequest) slurm.JobID {
 	e.t.Helper()

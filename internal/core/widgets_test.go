@@ -199,12 +199,9 @@ func TestConfigDefaults(t *testing.T) {
 	if cfg.TTLs.Storage != time.Hour {
 		t.Fatalf("storage TTL = %v", cfg.TTLs.Storage)
 	}
-	if cfg.LogTailLines != 1000 {
-		t.Fatalf("log tail = %d", cfg.LogTailLines)
-	}
 	// Explicit values survive.
-	cfg2 := Config{LogTailLines: 50, ClusterName: "x"}.withDefaults()
-	if cfg2.LogTailLines != 50 || cfg2.ClusterName != "x" {
+	cfg2 := Config{TTLs: CacheTTLs{Storage: time.Minute}, ClusterName: "x"}.withDefaults()
+	if cfg2.TTLs.Storage != time.Minute || cfg2.ClusterName != "x" {
 		t.Fatalf("cfg2 = %+v", cfg2)
 	}
 }

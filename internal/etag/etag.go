@@ -31,7 +31,8 @@ func For(body []byte) string {
 
 // Match implements If-None-Match: a comma-separated candidate list or
 // "*", with weak-comparison semantics (a W/ prefix is ignored, per RFC
-// 9110 §13.1.2 — If-None-Match uses weak comparison).
+// 9110 §13.1.2 — If-None-Match uses weak comparison). Empty list elements
+// are not tags and never match.
 func Match(header, tag string) bool {
 	if header == "" {
 		return false
@@ -49,7 +50,7 @@ func Match(header, tag string) bool {
 			header = ""
 		}
 		cand = strings.TrimPrefix(strings.TrimSpace(cand), "W/")
-		if cand == tag {
+		if cand != "" && cand == tag {
 			return true
 		}
 	}

@@ -54,28 +54,25 @@ type Options struct {
 	// Runner is the base upstream runner every replica's meter wraps.
 	// Required.
 	Runner slurmcli.Runner
-	// NoCoherence disables ownership partitioning and snapshot propagation:
-	// replicas become fully independent servers behind the LB. This is the
-	// ablation arm of the fleet bench (expected upstream cost: ~N×).
+	// NoCoherence disables ownership partitioning, snapshot propagation and
+	// the fleet-shared command memo: replicas become fully independent
+	// servers behind the LB, sharing nothing, including upstream reads. This
+	// is the ablation arm of the fleet bench (expected upstream cost: ~N×).
 	NoCoherence bool
-	// Vnodes is the consistent-hash virtual-node count (default 64).
-	Vnodes int
 	// HeartbeatTimeout declares a replica dead when its last heartbeat is
 	// older than this (default 15s). Heartbeats are stamped on Tick, so the
 	// timeout should be below the tick interval for next-tick detection.
 	HeartbeatTimeout time.Duration
-	// ReapIdle unregisters a source no client has requested (and no hub
-	// subscription watches) for this long, freeing its refresh slot.
-	// 0 means 10 minutes; negative disables reaping.
-	ReapIdle time.Duration
-	// MemoTTL bounds the fleet-shared upstream command memo (see
-	// memoRunner): identical commands issued by different replicas within
-	// this window collapse to one upstream call. Must stay well below the
-	// shortest widget TTL. 0 means 10 seconds; negative disables the memo.
-	// NoCoherence also disables it — fully independent replicas share
-	// nothing, including upstream reads.
-	MemoTTL time.Duration
 }
+
+const (
+	// vnodes is the consistent-hash virtual-node count per replica.
+	vnodes = 64
+	// reapIdle is how long a source no client has requested (and no hub
+	// subscription watches) stays registered before the reaper frees its
+	// refresh slot.
+	reapIdle = 10 * time.Minute
+)
 
 // sourceState is the fleet's bookkeeping for one tracked source.
 type sourceState struct {
@@ -133,7 +130,7 @@ type Fleet struct {
 	opts  Options
 	clock clock.Clock
 	met   *metrics
-	memo  *memoRunner // nil when NoCoherence or MemoTTL < 0
+	memo  *sharedRunner // nil when NoCoherence
 
 	mu       sync.Mutex
 	replicas []*replica // append-only; killed/dead members stay for metrics
@@ -179,17 +176,8 @@ func New(opts Options) (*Fleet, error) {
 	if opts.Policy == "" {
 		opts.Policy = PolicyRoundRobin
 	}
-	if opts.Vnodes <= 0 {
-		opts.Vnodes = 64
-	}
 	if opts.HeartbeatTimeout <= 0 {
 		opts.HeartbeatTimeout = 15 * time.Second
-	}
-	if opts.ReapIdle == 0 {
-		opts.ReapIdle = 10 * time.Minute
-	}
-	if opts.MemoTTL == 0 {
-		opts.MemoTTL = 10 * time.Second
 	}
 	fl := &Fleet{
 		opts:     opts,
@@ -199,8 +187,8 @@ func New(opts Options) (*Fleet, error) {
 		ensuring: make(map[string]*ensureCall),
 		stop:     make(chan struct{}),
 	}
-	if !opts.NoCoherence && opts.MemoTTL > 0 {
-		fl.memo = newMemoRunner(opts.Clock, opts.MemoTTL, opts.Runner)
+	if !opts.NoCoherence {
+		fl.memo = newSharedRunner(opts.Clock, opts.Runner)
 	}
 	fl.met = newMetrics(fl)
 	for i := 0; i < opts.Replicas; i++ {
@@ -300,7 +288,7 @@ func (fl *Fleet) rebuildRing() {
 		}
 	}
 	fl.mu.Unlock()
-	fl.ringPtr.Store(buildRing(ids, fl.opts.Vnodes))
+	fl.ringPtr.Store(buildRing(ids, vnodes))
 }
 
 // Owner returns the replica id currently owning key ("" if none).
@@ -445,7 +433,8 @@ func (fl *Fleet) propagate(origin *replica, fs core.FleetSnapshot) {
 // Tick advances the fleet one step on the shared clock: heartbeats and
 // failure detection (with re-election on membership change), every healthy
 // replica's scheduled refreshes, the propagation drain that carries new
-// owner snapshots to peers, and the idle-source reaper. Tests and benches
+// owner snapshots to peers, the idle-source reaper, and the purge of expired
+// command-memo entries. Tests and benches
 // call it after advancing the simulated clock; production wraps it in Run.
 func (fl *Fleet) Tick() {
 	now := fl.clock.Now()
@@ -459,6 +448,9 @@ func (fl *Fleet) Tick() {
 	}
 	fl.sloAgg.Evaluate()
 	fl.reap(now)
+	if fl.memo != nil {
+		fl.memo.cache.Purge()
+	}
 }
 
 // heartbeat stamps live members and declares silent ones dead, rebuilding
@@ -551,14 +543,11 @@ func (fl *Fleet) drainTap(rep *replica, now time.Time) {
 	}
 }
 
-// reap unregisters sources nothing has requested for ReapIdle (and at
+// reap unregisters sources nothing has requested for reapIdle (and at
 // least four TTLs), as long as no replica's hub has a live subscription
 // watching the key. This replaces the single-server scheduler's
 // pause-when-idle, which cannot see subscribers on peer replicas.
 func (fl *Fleet) reap(now time.Time) {
-	if fl.opts.ReapIdle < 0 {
-		return
-	}
 	type idle struct {
 		key   string
 		owner *replica
@@ -566,7 +555,7 @@ func (fl *Fleet) reap(now time.Time) {
 	var idles []idle
 	fl.mu.Lock()
 	for key, st := range fl.sources {
-		cutoff := fl.opts.ReapIdle
+		cutoff := reapIdle
 		if four := 4 * st.src.TTL; four > cutoff {
 			cutoff = four
 		}
@@ -730,17 +719,37 @@ func (fl *Fleet) UpstreamRPCs() map[string]map[string]int64 {
 // UpstreamCalls returns the commands that actually reached the simulated
 // daemons, by daemon — issued minus memo-collapsed. This is the load Slurm
 // sees and the number the fleet bench's flatness gate compares. Without a
-// memo (NoCoherence, or MemoTTL < 0) it equals the sum of UpstreamRPCs.
+// memo (NoCoherence) it equals the sum of UpstreamRPCs.
 func (fl *Fleet) UpstreamCalls() map[string]int64 {
 	if fl.memo != nil {
-		misses, _ := fl.memo.counts()
-		return misses
+		return fl.memo.upstream.Snapshot()
 	}
+	return fl.issuedCalls()
+}
+
+// issuedCalls sums every replica's issued upstream commands by daemon.
+func (fl *Fleet) issuedCalls() map[string]int64 {
 	out := make(map[string]int64, 2)
 	for _, counts := range fl.UpstreamRPCs() {
 		for d, n := range counts {
 			out[d] += n
 		}
+	}
+	return out
+}
+
+// collapsedCalls returns, by daemon, the issued commands the shared memo
+// answered without reaching the daemons (a hit or a wait on an in-flight
+// call): issued minus upstream. Upstream is read first so the difference is
+// never negative while commands are in flight. Nil without a memo.
+func (fl *Fleet) collapsedCalls() map[string]int64 {
+	if fl.memo == nil {
+		return nil
+	}
+	upstream := fl.memo.upstream.Snapshot()
+	out := fl.issuedCalls()
+	for d, n := range upstream {
+		out[d] -= n
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ooddash/internal/clock"
+	"ooddash/internal/slurmcli"
 )
 
 type countingRunner struct {
@@ -26,14 +27,16 @@ func (c *countingRunner) Run(name string, args ...string) (string, error) {
 func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 	clk := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
-	m := newMemoRunner(clk, 10*time.Second, base)
+	m := newSharedRunner(clk, base)
+	// issued stands in for the replicas' own counters above the memo.
+	issued := slurmcli.NewCountingRunner(m)
 
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			out, err := m.Run("squeue", "-A", "grp01")
+			out, err := issued.Run("squeue", "-A", "grp01")
 			if err != nil || out != "out:squeue" {
 				t.Errorf("Run = %q, %v", out, err)
 			}
@@ -43,9 +46,10 @@ func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 	if got := base.calls.Load(); got != 1 {
 		t.Fatalf("upstream calls = %d, want 1 (collapsed)", got)
 	}
-	misses, hits := m.counts()
-	if misses["slurmctld"] != 1 || hits["slurmctld"] != 7 {
-		t.Fatalf("counts = misses %v hits %v, want 1 miss / 7 hits", misses, hits)
+	upstream := m.upstream.Snapshot()
+	collapsed := issued.Snapshot()["slurmctld"] - upstream["slurmctld"]
+	if upstream["slurmctld"] != 1 || collapsed != 7 || upstream["slurmdbd"] != 0 {
+		t.Fatalf("upstream %v, collapsed %d, want 1 slurmctld call / 7 collapsed", upstream, collapsed)
 	}
 
 	// A different command is its own entry.
@@ -64,12 +68,17 @@ func TestMemoCollapsesIdenticalCommandsWithinTTL(t *testing.T) {
 	if got := base.calls.Load(); got != 3 {
 		t.Fatalf("upstream calls = %d, want 3 after TTL expiry", got)
 	}
+
+	// Purge (run by the fleet's Tick) drops the expired grp02 entry.
+	if n := m.cache.Purge(); n != 1 {
+		t.Fatalf("purged %d entries, want 1", n)
+	}
 }
 
 func TestMemoNeverCachesErrors(t *testing.T) {
 	clk := clock.NewSim(time.Unix(1_700_000_000, 0))
 	base := &countingRunner{}
-	m := newMemoRunner(clk, 10*time.Second, base)
+	m := newSharedRunner(clk, base)
 
 	base.fail.Store(true)
 	if _, err := m.Run("sinfo", "--json"); err == nil {

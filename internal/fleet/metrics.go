@@ -81,10 +81,7 @@ func newMetrics(fl *Fleet) *metrics {
 	reg.CollectorFunc("ooddash_fleet_upstream_collapsed_total", obs.KindCounter,
 		"Identical upstream commands collapsed by the fleet-shared memo, by daemon.",
 		func() []obs.Sample {
-			if fl.memo == nil {
-				return nil
-			}
-			_, hits := fl.memo.counts()
+			hits := fl.collapsedCalls()
 			daemons := make([]string, 0, len(hits))
 			for d := range hits {
 				daemons = append(daemons, d)

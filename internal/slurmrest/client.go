@@ -28,7 +28,7 @@ import (
 //
 // The client revalidates: it remembers each URL's ETag together with the
 // decoded envelope, sends If-None-Match on the next request, and on 304
-// reuses the decoded value — the decode-once counterpart of the server's
+// reuses the decoded value — the decode-once counterpart of the dashboard's
 // encode-once rendered cache, and where the JSON backend wins its steady
 // state (decoding a bulk response costs more CPU than parsing the CLI's
 // text, so skipping it when nothing changed is the whole game). The cache

@@ -1,11 +1,16 @@
 // Package slurmrest is a slurmrestd-style REST surface over the simulated
 // Slurm daemons: a versioned JSON API (/slurm/v1/jobs, /nodes, /partitions,
 // /accounting, /diag) with bearer-token authentication, per-endpoint and
-// per-field permission scopes, and an ETag'd rendered-response cache.
+// per-field permission scopes, and ETag revalidation (If-None-Match → 304).
 //
 // It is the modern alternative to the CLI-shellout data path the paper's
 // dashboard uses (the Palmetto API direction: granular permissions and
 // caching layered over the Slurm REST API without breaking compatibility).
+// The caching lives on the dashboard side: its per-source cache.Cache in
+// front of every fill, plus the Client's If-None-Match revalidation that
+// skips re-decoding an unchanged response. The server keeps no response
+// cache of its own; every request reads the daemons.
+//
 // The server reads the daemon state structs directly — no text formatting
 // or parsing — and the client decodes wire JSON back into the same typed
 // rows internal/slurmcli produces, so the dashboard can swap between the

@@ -273,11 +273,12 @@ func TestUserRedaction(t *testing.T) {
 	}
 }
 
-// TestETagAndCacheClassIsolation pins conditional requests and the cache
-// keying: revalidation works within one principal, and differently-scoped
-// principals never share a cached body even for the same URI.
+// TestETagAndCacheClassIsolation pins conditional requests across
+// principals: revalidation works within one principal, and differently
+// scoped principals never validate each other's ETag or share a body even
+// for the same URI.
 func TestETagAndCacheClassIsolation(t *testing.T) {
-	e := newRestEnv(t, Options{CacheTTL: time.Minute})
+	e := newRestEnv(t, Options{})
 	e.seedJobs(t)
 
 	const path = "/slurm/v1/accounting"
@@ -318,14 +319,6 @@ func TestETagAndCacheClassIsolation(t *testing.T) {
 		if j.User == "alice" && !j.Redacted {
 			t.Errorf("bob's view shows alice's row unredacted: %+v", j)
 		}
-	}
-
-	// Staff shares one cache class: two staff fetches are one cache fill.
-	e.get(tokStaff, path)
-	e.get(tokStaff, path)
-	cs := e.server.CacheStats()
-	if cs.Hits == 0 {
-		t.Errorf("expected rendered-cache hits, stats %+v", cs)
 	}
 }
 

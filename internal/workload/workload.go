@@ -429,24 +429,13 @@ func (e *Env) SubmitRandom(rng *rand.Rand, n int) int {
 // paper's default cache TTLs. newsBaseURL points at an HTTP server wrapping
 // env.Feed (tests use httptest).
 func (e *Env) NewServer(newsBaseURL string) (*core.Server, error) {
-	return e.NewServerPush(newsBaseURL, core.PushConfig{})
-}
-
-// NewServerPush is NewServer with an explicit push-subsystem configuration
-// (cmd/dashboard threads its -push-* flags through here).
-func (e *Env) NewServerPush(newsBaseURL string, pushCfg core.PushConfig) (*core.Server, error) {
-	return e.NewServerTraced(newsBaseURL, pushCfg, core.TraceConfig{})
-}
-
-// NewServerTraced is NewServerPush with an explicit span-tracing
-// configuration (cmd/dashboard threads its -trace-* flags through here).
-func (e *Env) NewServerTraced(newsBaseURL string, pushCfg core.PushConfig, traceCfg core.TraceConfig) (*core.Server, error) {
-	return e.NewServerConfig(newsBaseURL, core.Config{Push: pushCfg, Trace: traceCfg})
+	return e.NewServerConfig(newsBaseURL, core.Config{})
 }
 
 // NewServerConfig builds a dashboard server over the environment with full
-// control of the core configuration (the chaos harness tunes resilience
-// knobs like the fill-admission cap). An empty ClusterName takes the
+// control of the core configuration (cmd/dashboard threads its flags
+// through here; the chaos harness tunes resilience knobs like the
+// fill-admission cap). An empty ClusterName takes the
 // environment's; the environment's services and shared clock always win.
 func (e *Env) NewServerConfig(newsBaseURL string, cfg core.Config) (*core.Server, error) {
 	return e.NewServerRunner(newsBaseURL, cfg, e.Runner)
