@@ -61,6 +61,7 @@ FUZZTIME = 30s
 fuzz:            ## run each fuzz target for FUZZTIME (not part of check; plain go test replays the seed corpus)
 	go test -run '^$$' -fuzz '^FuzzNodeListContains$$' -fuzztime $(FUZZTIME) ./internal/slurm/
 	go test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/etag/
+	go test -run '^$$' -fuzz '^FuzzAcceptsGzip$$' -fuzztime $(FUZZTIME) ./internal/core/
 
 bench: check     ## CI gate + loadgen smoke on the simulated clock -> BENCH_latency.json
 	go run ./cmd/loadgen -smoke -users 25 -rounds 8 -interval 5s \

@@ -189,6 +189,10 @@ func writeFetchError(w http.ResponseWriter, err error) {
 // Fresh 200 responses carry an ETag (content hash of the body); a request
 // revalidating with a matching If-None-Match gets 304 Not Modified and no
 // body. Degraded responses are never conditional — see etag.go.
+//
+// The body is always identity: it is built per request (degraded, rev-0 and
+// Config.RenderCacheDisabled responses), so gzipping it here would compress
+// on every request; only the rendered layer's once-per-fill copies do.
 func (s *Server) writeWidgetJSON(w http.ResponseWriter, r *http.Request, status int, meta fetchMeta, v any) {
 	buf := getBuf()
 	defer putBuf(buf)

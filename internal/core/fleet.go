@@ -237,7 +237,9 @@ func (s *Server) fleetIntercept(widget string, next http.HandlerFunc) http.Handl
 // with the same conditional-request and cache-class semantics as the
 // owner's rendered path: strong ETag plus If-None-Match 304s for current
 // payloads, the degraded header (and no ETag) for degraded or aged-out
-// ones, and the private/Vary cache class on per-user routes.
+// ones, and the private/Vary cache class on per-user routes. Snapshots go
+// out identity: they carry no stored gzip copy, so compressing here would
+// cost CPU on every peer-served request.
 func (s *Server) writeFleetSnapshot(w http.ResponseWriter, r *http.Request, route pushRoute, snap FleetSnapshot, stale bool) {
 	h := w.Header()
 	if route.perUser {

@@ -63,6 +63,12 @@ type serverObs struct {
 	// client's ETag — bytes the cache saved without an upstream call.
 	notModified *obs.CounterVec // ooddash_not_modified_total{widget}
 
+	// gzipServed counts rendered 200s sent as their stored gzip copy, and
+	// gzipBytesSaved sums the plain length minus the gzip length of each:
+	// which routes ship compressed bodies, and what that saves on the wire.
+	gzipServed     *obs.CounterVec // ooddash_render_gzip_served_total{widget}
+	gzipBytesSaved *obs.Counter    // ooddash_render_gzip_bytes_saved_total
+
 	// pushRefresh times the background scheduler's per-widget refreshes.
 	pushRefresh *obs.HistogramVec // ooddash_push_refresh_seconds{widget}
 	// pushRefreshes counts refresh attempts by widget and result
@@ -126,6 +132,10 @@ func newServerObs(s *Server) *serverObs {
 			"Degraded responses whose non-object JSON payload could not carry the degraded/age_seconds annotation."),
 		notModified: reg.CounterVec("ooddash_not_modified_total",
 			"Conditional widget requests answered 304 Not Modified from the client's ETag.", "widget"),
+		gzipServed: reg.CounterVec("ooddash_render_gzip_served_total",
+			"Rendered widget 200 responses sent as their precompressed gzip copy.", "widget"),
+		gzipBytesSaved: reg.Counter("ooddash_render_gzip_bytes_saved_total",
+			"Body bytes the gzip copies saved: plain length minus gzip length, summed over gzip 200 responses."),
 		pushRefresh: reg.HistogramVec("ooddash_push_refresh_seconds",
 			"Background push refresh latency by widget.", nil, "widget"),
 		pushRefreshes: reg.CounterVec("ooddash_push_refreshes_total",

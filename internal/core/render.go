@@ -2,11 +2,13 @@ package core
 
 import (
 	"bytes"
+	"compress/gzip"
 	"encoding/json"
 	"fmt"
 	"net/http"
 	"sync/atomic"
 
+	"ooddash/internal/auth"
 	"ooddash/internal/etag"
 )
 
@@ -32,6 +34,25 @@ import (
 //
 // Per-user routes pass the user name as the variant, so one user's bytes are
 // never served to another; authorization always runs before serveRendered.
+//
+// A body of at least gzipMinBytes is also gzipped once at fill time and
+// served, with Content-Encoding: gzip and the weak tag W/"<hash>", to
+// requests whose Accept-Encoding accepts gzip; every other request gets the
+// plain bytes and the strong tag. Both carry Vary: Accept-Encoding, and
+// If-None-Match still compares against the strong tag (etag.Match ignores
+// W/), so a tag from either representation revalidates against the other.
+
+const (
+	// gzipMinBytes is the smallest body stored with a gzip copy: about one
+	// 10-segment initial congestion window. Below it compression saves no
+	// round trip, and the Vary and W/ bytes on every 304 cost more than the
+	// body shrinks; only My Jobs and Cluster Status bodies reach it.
+	gzipMinBytes = 16 << 10
+	// gzipLevel trades ratio for fill time: BestSpeed already shrinks the
+	// JSON ~10x, and DefaultCompression doubled core's per-page time for a
+	// few percent fewer bytes.
+	gzipLevel = gzip.BestSpeed
+)
 
 // renderedResponse is one materialized widget payload.
 type renderedResponse struct {
@@ -39,12 +60,27 @@ type renderedResponse struct {
 	body    []byte   // final bytes as written to the wire, trailing '\n' included
 	etag    string   // strong ETag of body
 	etagVal []string // etag as a ready header value for direct map assignment
+
+	// Set only for bodies of at least gzipMinBytes.
+	gz      []byte   // body gzipped once, exact size
+	weakVal []string // W/ + etag, the gzip representation's tag
+	vary    []string // Vary value for both representations and their 304s
 }
 
 // jsonContentType is the Content-Type header value every JSON response
 // shares, assigned directly into the header map: Header.Set allocates a
-// fresh one-element slice per call. net/http only reads the slice.
-var jsonContentType = []string{"application/json"}
+// fresh one-element slice per call. net/http only reads the slice. The
+// Content-Encoding and Vary values of gzip-capable entries are shared the
+// same way.
+var (
+	jsonContentType = []string{"application/json"}
+	gzipEncoding    = []string{"gzip"}
+	// Per-user routes vary on the identity header too (setPrivateCache).
+	varyEncoding     = []string{"Accept-Encoding"}
+	varyUserEncoding = []string{auth.UserHeader + ", Accept-Encoding"}
+)
+
+const contentEncodingHeaderKey = "Content-Encoding"
 
 // marshalPayload is the single choke point for payload encoding; every
 // json.Marshal of a widget body goes through it, and the counter it bumps
@@ -128,26 +164,60 @@ func (s *Server) serveRendered(w http.ResponseWriter, r *http.Request, meta fetc
 	body := append(raw, '\n')
 	re := &renderedResponse{rev: meta.rev, body: body, etag: etag.For(body)}
 	re.etagVal = []string{re.etag}
+	if len(body) >= gzipMinBytes {
+		re.gz = gzipBody(body)
+		re.weakVal = []string{"W/" + re.etag}
+		re.vary = varyEncoding
+		if variant != "" {
+			re.vary = varyUserEncoding
+		}
+	}
 	// The body stays valid as long as the source entry it was built from, so
 	// it shares the source's TTL; a source refill bumps rev and overwrites.
 	s.rendered.Set(key, re, meta.ttl)
 	s.writeRendered(w, r, re)
 }
 
+// gzipBody compresses body at gzipLevel into an exact-size slice. Each call
+// builds its own writer: it runs once per fill, and a pooled writer would
+// keep ~1 MB of compressor state alive between fills.
+func gzipBody(body []byte) []byte {
+	var buf bytes.Buffer
+	buf.Grow(len(body) / 8)
+	zw, _ := gzip.NewWriterLevel(&buf, gzipLevel) // gzipLevel is valid
+	zw.Write(body)                                // writes to a bytes.Buffer cannot fail
+	zw.Close()
+	return bytes.Clone(buf.Bytes())
+}
+
 // writeRendered is the materialized hit path: set the stored ETag, answer a
-// matching If-None-Match with 304, otherwise write the stored bytes in one
-// call. No view-model build, no Marshal, no hash.
+// matching If-None-Match with 304, otherwise write the stored bytes (or
+// their stored gzip copy) in one call. No view-model build, no Marshal, no
+// hash, no compression.
 func (s *Server) writeRendered(w http.ResponseWriter, r *http.Request, re *renderedResponse) {
 	h := w.Header()
-	h[etagHeaderKey] = re.etagVal
+	body, tag := re.body, re.etagVal
+	gz := re.gz != nil && requestAcceptsGzip(r.Header["Accept-Encoding"])
+	if re.gz != nil {
+		h[varyHeaderKey] = re.vary
+	}
+	if gz {
+		body, tag = re.gz, re.weakVal
+	}
+	h[etagHeaderKey] = tag
 	if etag.Match(r.Header.Get("If-None-Match"), re.etag) {
 		s.obsm.notModified.With(widgetFromContext(r.Context())).Inc()
 		w.WriteHeader(http.StatusNotModified)
 		return
 	}
 	h["Content-Type"] = jsonContentType
+	if gz {
+		h[contentEncodingHeaderKey] = gzipEncoding
+		s.obsm.gzipServed.With(widgetFromContext(r.Context())).Inc()
+		s.obsm.gzipBytesSaved.Add(int64(len(re.body) - len(re.gz)))
+	}
 	w.WriteHeader(http.StatusOK)
-	w.Write(re.body)
+	w.Write(body)
 }
 
 // renderCounters groups the rendered-layer atomics embedded in Server.

@@ -335,6 +335,8 @@ func (s *Server) handleJobLogs(w http.ResponseWriter, r *http.Request) {
 		writeError(w, fmt.Errorf("%w: %v", errNotFound, err))
 		return
 	}
+	// Identity, like every per-request body: the tail is read fresh on each
+	// request, so compressing it would cost CPU every time.
 	writeJSON(w, http.StatusOK, JobLogsResponse{
 		JobID:       strconv.FormatInt(int64(id), 10),
 		Stream:      stream,

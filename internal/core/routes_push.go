@@ -120,6 +120,8 @@ func (s *Server) pushFetch(route pushRoute, user string) push.FetchFunc {
 			sp.End()
 			return nil, false, err
 		}
+		// No Accept-Encoding: the hub ships the identity bytes to every
+		// subscriber, so the refresh must not receive a rendered gzip copy.
 		req.Header.Set(auth.UserHeader, user)
 		req.Header.Set("Accept", "application/json")
 		req.Header.Set(pushRefreshHeader, "refresh")
@@ -269,6 +271,8 @@ func (s *Server) handleEventStream(w http.ResponseWriter, r *http.Request) {
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
+	// Events go out identity: push payloads are small widget bodies, and a
+	// compressed stream would have to be flushed per event anyway.
 	enc := push.NewEncoder(w)
 
 	// Resume/initial replay: every subscribed widget's current snapshot

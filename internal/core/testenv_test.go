@@ -51,8 +51,13 @@ func newEnvWith(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Run
 // test can attach extra backends (the REST client/server pair).
 func newEnvDeps(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Runner) slurmcli.Runner, mutateDeps func(*Deps, *slurm.Cluster)) *env {
 	t.Helper()
-	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
-	cfg := slurm.ClusterConfig{
+	return newEnvCluster(t, testClusterConfig(), mutate, wrapRunner, mutateDeps)
+}
+
+// testClusterConfig is the small simulated cluster every env runs: six
+// nodes in two partitions, two accounts, three users.
+func testClusterConfig() slurm.ClusterConfig {
+	return slurm.ClusterConfig{
 		Name: "testcluster",
 		Nodes: []slurm.NodeSpec{
 			{NamePrefix: "c", Count: 4, CPUs: 8, MemMB: 16 * 1024, Partitions: []string{"cpu"}},
@@ -72,6 +77,12 @@ func newEnvDeps(t testing.TB, mutate func(*Config), wrapRunner func(slurmcli.Run
 			{Account: "lab-b", User: "carol"},
 		},
 	}
+}
+
+// newEnvCluster is newEnvDeps over the given cluster configuration.
+func newEnvCluster(t testing.TB, cfg slurm.ClusterConfig, mutate func(*Config), wrapRunner func(slurmcli.Runner) slurmcli.Runner, mutateDeps func(*Deps, *slurm.Cluster)) *env {
+	t.Helper()
+	clk := clock.NewSim(time.Date(2026, 7, 1, 8, 0, 0, 0, time.UTC))
 	cluster, err := slurm.NewCluster(cfg, clk)
 	if err != nil {
 		t.Fatal(err)
