@@ -62,6 +62,8 @@ fuzz:            ## run each fuzz target for FUZZTIME (not part of check; plain 
 	go test -run '^$$' -fuzz '^FuzzNodeListContains$$' -fuzztime $(FUZZTIME) ./internal/slurm/
 	go test -run '^$$' -fuzz '^FuzzMatch$$' -fuzztime $(FUZZTIME) ./internal/etag/
 	go test -run '^$$' -fuzz '^FuzzAcceptsGzip$$' -fuzztime $(FUZZTIME) ./internal/core/
+	go test -run '^$$' -fuzz '^FuzzParseTRES$$' -fuzztime $(FUZZTIME) ./internal/slurm/
+	go test -run '^$$' -fuzz '^FuzzParseDuration$$' -fuzztime $(FUZZTIME) ./internal/slurmcli/
 
 bench: check     ## CI gate + loadgen smoke on the simulated clock -> BENCH_latency.json
 	go run ./cmd/loadgen -smoke -users 25 -rounds 8 -interval 5s \

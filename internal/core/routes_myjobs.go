@@ -85,18 +85,25 @@ type EfficiencyView struct {
 	GPUPercent *float64 `json:"gpu_percent"`
 }
 
+// efficiencyView points the applicable percentages into one shared array,
+// so a row costs at most one allocation.
 func efficiencyView(m efficiency.Metrics) EfficiencyView {
-	conv := func(v float64) *float64 {
+	var vals *[4]float64
+	conv := func(i int, v float64) *float64 {
 		if v < 0 {
 			return nil
 		}
-		return &v
+		if vals == nil {
+			vals = new([4]float64)
+		}
+		vals[i] = v
+		return &vals[i]
 	}
 	return EfficiencyView{
-		TimePercent:   conv(m.TimePercent),
-		CPUPercent:    conv(m.CPUPercent),
-		MemoryPercent: conv(m.MemoryPercent),
-		GPUPercent:    conv(m.GPUPercent),
+		TimePercent:   conv(0, m.TimePercent),
+		CPUPercent:    conv(1, m.CPUPercent),
+		MemoryPercent: conv(2, m.MemoryPercent),
+		GPUPercent:    conv(3, m.GPUPercent),
 	}
 }
 

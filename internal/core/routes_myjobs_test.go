@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ooddash/internal/auth"
+	"ooddash/internal/efficiency"
 	"ooddash/internal/slurm"
 	"ooddash/internal/slurmcli"
 )
@@ -469,3 +470,24 @@ func TestMyJobsExportCSV(t *testing.T) {
 		t.Fatalf("failed filter:\n%s", body)
 	}
 }
+
+// TestEfficiencyViewOneAllocation checks that the efficiency column keeps
+// its values and nulls while sharing one allocation per row, and none for a
+// job with nothing to show.
+func TestEfficiencyViewOneAllocation(t *testing.T) {
+	m := efficiency.Metrics{TimePercent: 50, CPUPercent: 0, MemoryPercent: -1, GPUPercent: 87.5}
+	v := efficiencyView(m)
+	if v.TimePercent == nil || *v.TimePercent != 50 || v.CPUPercent == nil || *v.CPUPercent != 0 ||
+		v.MemoryPercent != nil || v.GPUPercent == nil || *v.GPUPercent != 87.5 {
+		t.Fatalf("efficiencyView(%+v) = %+v", m, v)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkEfficiency = efficiencyView(m) }); n != 1 {
+		t.Fatalf("efficiencyView allocates %v times, want 1", n)
+	}
+	none := efficiency.Metrics{TimePercent: -1, CPUPercent: -1, MemoryPercent: -1, GPUPercent: -1}
+	if n := testing.AllocsPerRun(100, func() { sinkEfficiency = efficiencyView(none) }); n != 0 {
+		t.Fatalf("efficiencyView of a job that never ran allocates %v times, want 0", n)
+	}
+}
+
+var sinkEfficiency EfficiencyView

@@ -1,6 +1,8 @@
 package slurm
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -59,11 +61,7 @@ func (d *DBD) recordJob(j *Job) {
 		d.order = append(d.order, j.ID)
 		// Keep order sorted; submissions arrive roughly in order so the
 		// common case is an append.
-		for i := len(d.order) - 1; i > 0; i-- {
-			a, b := d.jobs[d.order[i-1]], j
-			if a == nil || !a.SubmitTime.After(b.SubmitTime) {
-				break
-			}
+		for i := len(d.order) - 1; i > 0 && jobCmp(j, d.jobs[d.order[i-1]]) < 0; i-- {
 			d.order[i-1], d.order[i] = d.order[i], d.order[i-1]
 		}
 	}
@@ -205,30 +203,82 @@ func containsString(haystack []string, needle string) bool {
 	return false
 }
 
-// Jobs returns accounting records matching the filter, ordered by submit
-// time ascending (or most-recent-first truncated to Limit when Limit > 0).
-// Counted as a DBD_GET_JOBS RPC — the sacct path.
+// jobCmp is d.order's ordering: submit time ascending, ties by job ID.
+func jobCmp(a, b *Job) int {
+	if c := a.SubmitTime.Compare(b.SubmitTime); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ID, b.ID)
+}
+
+// sortByJobCmp sorts ids, all stored, into d.order's ordering. Caller
+// holds d.mu.
+func (d *DBD) sortByJobCmp(ids []JobID) {
+	slices.SortFunc(ids, func(a, b JobID) int { return jobCmp(d.jobs[a], d.jobs[b]) })
+}
+
+// Jobs returns copies of the accounting records matching the filter,
+// ordered by submit time ascending (or most-recent-first truncated to Limit
+// when Limit > 0). Counted as a DBD_GET_JOBS RPC — the sacct path.
 func (d *DBD) Jobs(f JobFilter, now time.Time) []*Job {
+	var out []*Job
+	_ = d.EachJob(f, now, func(j *Job) error {
+		out = append(out, j.Clone())
+		return nil
+	})
+	return out
+}
+
+// EachJob calls fn for each accounting record matching the filter, in the
+// order Jobs returns them, and stops at the first error fn returns. Counted
+// as one DBD_GET_JOBS RPC. fn runs under the read lock: it may read the job
+// but must neither keep nor change it. Stored records are replaced on every
+// write (recordJob, Backfill) and never changed in place, so a reader never
+// sees a record half-written.
+//
+// With JobIDs set the candidates come from the by-ID map instead of a scan
+// of every record, the way slurmdbd answers sacct -j from its primary key.
+func (d *DBD) EachJob(f JobFilter, now time.Time, fn func(*Job) error) error {
 	d.stats.Record(RPCSacct)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	var out []*Job
+	ids := d.order
+	if len(f.JobIDs) > 0 {
+		ids = d.byID(f.JobIDs)
+	}
 	if f.Limit > 0 {
-		// Scan newest-first so we can stop early.
-		for i := len(d.order) - 1; i >= 0 && len(out) < f.Limit; i-- {
-			j := d.jobs[d.order[i]]
-			if f.matches(j, now) {
-				out = append(out, j.Clone())
+		// Newest first, stopping at the limit.
+		n := 0
+		for i := len(ids) - 1; i >= 0 && n < f.Limit; i-- {
+			if j := d.jobs[ids[i]]; f.matches(j, now) {
+				if err := fn(j); err != nil {
+					return err
+				}
+				n++
 			}
 		}
-		return out
+		return nil
 	}
-	for _, id := range d.order {
-		j := d.jobs[id]
-		if f.matches(j, now) {
-			out = append(out, j.Clone())
+	for _, id := range ids {
+		if j := d.jobs[id]; f.matches(j, now) {
+			if err := fn(j); err != nil {
+				return err
+			}
 		}
 	}
+	return nil
+}
+
+// byID returns the known IDs among ids, each once, in d.order's order.
+// Caller holds d.mu.
+func (d *DBD) byID(ids []JobID) []JobID {
+	out := make([]JobID, 0, len(ids))
+	for _, id := range ids {
+		if d.jobs[id] != nil && !slices.Contains(out, id) {
+			out = append(out, id)
+		}
+	}
+	d.sortByJobCmp(out)
 	return out
 }
 

@@ -457,10 +457,23 @@ func TestNodeHasFeatures(t *testing.T) {
 		{"milan, avx2", true},
 		{"h100", false},
 		{"milan,h100", false},
+		// Empty elements are skipped; whitespace around a feature is not
+		// part of it.
+		{",", true},
+		{" , ,", true},
+		{",milan,,avx2,", true},
+		{"  a100\t", true},
+		{"\tmilan ,\n avx2 ", true},
+		{",,h100", false},
+		{" milan , h100 ", false},
+		{"mil an", false},
 	}
 	for _, tc := range cases {
 		if got := n.HasFeatures(tc.constraint); got != tc.want {
 			t.Errorf("HasFeatures(%q) = %v, want %v", tc.constraint, got, tc.want)
 		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { n.HasFeatures("milan, avx2,a100") }); allocs != 0 {
+		t.Fatalf("HasFeatures allocates %v times per call, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package slurm
 
 import (
 	"fmt"
+	"strconv"
 	"time"
 )
 
@@ -87,10 +88,18 @@ func (j *Job) IsArrayTask() bool { return j.ArrayJobID != 0 }
 // DisplayID returns the user-visible job ID: "1234_7" for array tasks,
 // "1234" otherwise.
 func (j *Job) DisplayID() string {
+	var buf [24]byte
+	return string(j.AppendDisplayID(buf[:0]))
+}
+
+// AppendDisplayID appends the job's DisplayID to b.
+func (j *Job) AppendDisplayID(b []byte) []byte {
 	if j.IsArrayTask() {
-		return fmt.Sprintf("%d_%d", j.ArrayJobID, j.ArrayTaskID)
+		b = strconv.AppendInt(b, int64(j.ArrayJobID), 10)
+		b = append(b, '_')
+		return strconv.AppendInt(b, int64(j.ArrayTaskID), 10)
 	}
-	return fmt.Sprintf("%d", j.ID)
+	return strconv.AppendInt(b, int64(j.ID), 10)
 }
 
 // WaitTime returns how long the job waited (or has waited) in the queue.

@@ -1,9 +1,11 @@
 package slurm
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -90,9 +92,10 @@ func (n *Node) HasFeatures(constraint string) bool {
 	if constraint == "" {
 		return true
 	}
-	for _, want := range strings.Split(constraint, ",") {
-		want = strings.TrimSpace(want)
-		if want == "" {
+	for rest := constraint; rest != ""; {
+		var want string
+		want, rest, _ = strings.Cut(rest, ",")
+		if want = strings.TrimSpace(want); want == "" {
 			continue
 		}
 		found := false
@@ -142,11 +145,17 @@ func (n *Node) removeJob(id JobID) {
 // prefix into Slurm's bracketed hostlist form, e.g. ["a001","a002","a003"]
 // becomes "a[001-003]". Names that don't fit the pattern are listed verbatim.
 func NodeNameRange(names []string) string {
-	if len(names) == 0 {
-		return ""
-	}
 	if len(names) == 1 {
 		return names[0]
+	}
+	var buf [64]byte
+	return string(AppendNodeNameRange(buf[:0], names))
+}
+
+// AppendNodeNameRange appends NodeNameRange(names) to b.
+func AppendNodeNameRange(b []byte, names []string) []byte {
+	if len(names) == 1 {
+		return append(b, names[0]...)
 	}
 	type entry struct {
 		prefix string
@@ -154,7 +163,8 @@ func NodeNameRange(names []string) string {
 		width  int
 		raw    string
 	}
-	entries := make([]entry, 0, len(names))
+	var buf [16]entry // a job's node list rarely needs more; longer ones grow
+	entries := buf[:0]
 	for _, name := range names {
 		i := len(name)
 		for i > 0 && name[i-1] >= '0' && name[i-1] <= '9' {
@@ -164,24 +174,29 @@ func NodeNameRange(names []string) string {
 		if i < len(name) {
 			e.prefix = name[:i]
 			e.width = len(name) - i
-			fmt.Sscanf(name[i:], "%d", &e.num)
+			// A suffix too long for an int counts as 0, as fmt.Sscanf left it.
+			if n, err := strconv.Atoi(name[i:]); err == nil {
+				e.num = n
+			}
 		} else {
 			e.prefix = name
 			e.num = -1
 		}
 		entries = append(entries, e)
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].prefix != entries[j].prefix {
-			return entries[i].prefix < entries[j].prefix
+	slices.SortFunc(entries, func(a, b entry) int {
+		if a.prefix != b.prefix {
+			return strings.Compare(a.prefix, b.prefix)
 		}
-		return entries[i].num < entries[j].num
+		return cmp.Compare(a.num, b.num)
 	})
-	var out []string
 	for i := 0; i < len(entries); {
+		if i > 0 {
+			b = append(b, ',')
+		}
 		e := entries[i]
 		if e.num < 0 {
-			out = append(out, e.raw)
+			b = append(b, e.raw...)
 			i++
 			continue
 		}
@@ -194,13 +209,36 @@ func NodeNameRange(names []string) string {
 			j++
 		}
 		if j == i {
-			out = append(out, e.raw)
+			b = append(b, e.raw...)
 		} else {
-			out = append(out, fmt.Sprintf("%s[%0*d-%0*d]", e.prefix, e.width, e.num, e.width, entries[j].num))
+			b = append(b, e.prefix...)
+			b = append(b, '[')
+			b = appendPadded(b, e.num, e.width)
+			b = append(b, '-')
+			b = appendPadded(b, entries[j].num, e.width)
+			b = append(b, ']')
 		}
 		i = j + 1
 	}
-	return strings.Join(out, ",")
+	return b
+}
+
+// appendPadded appends the non-negative n zero-padded to width digits,
+// like fmt's %0*d.
+func appendPadded(b []byte, n, width int) []byte {
+	for d := digits(n); d < width; d++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
+}
+
+// digits returns the number of decimal digits of the non-negative n.
+func digits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // ExpandNodeRange is the inverse of NodeNameRange: it expands a hostlist of

@@ -547,13 +547,7 @@ func (d *DBD) Backfill(jobs []*Job) int {
 		added++
 	}
 	if added > 0 {
-		sort.Slice(d.order, func(i, k int) bool {
-			a, b := d.jobs[d.order[i]], d.jobs[d.order[k]]
-			if !a.SubmitTime.Equal(b.SubmitTime) {
-				return a.SubmitTime.Before(b.SubmitTime)
-			}
-			return a.ID < b.ID
-		})
+		d.sortByJobCmp(d.order)
 	}
 	return added
 }

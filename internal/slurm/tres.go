@@ -49,23 +49,29 @@ func (t TRES) IsZero() bool {
 // String renders the TRES in Slurm's compact "cpu=4,mem=8000M,gres/gpu=1,node=1"
 // form, omitting zero-valued dimensions.
 func (t TRES) String() string {
-	parts := make([]string, 0, 4)
-	if t.CPUs > 0 {
-		parts = append(parts, fmt.Sprintf("cpu=%d", t.CPUs))
+	var buf [64]byte
+	return string(t.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the TRES's String form to b.
+func (t TRES) AppendTo(b []byte) []byte {
+	start := len(b)
+	dim := func(key string, n int64, unit string) {
+		if n <= 0 {
+			return
+		}
+		if len(b) > start {
+			b = append(b, ',')
+		}
+		b = append(b, key...)
+		b = strconv.AppendInt(b, n, 10)
+		b = append(b, unit...)
 	}
-	if t.MemMB > 0 {
-		parts = append(parts, fmt.Sprintf("mem=%dM", t.MemMB))
-	}
-	if t.GPUs > 0 {
-		parts = append(parts, fmt.Sprintf("gres/gpu=%d", t.GPUs))
-	}
-	if t.Nodes > 0 {
-		parts = append(parts, fmt.Sprintf("node=%d", t.Nodes))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return strings.Join(parts, ",")
+	dim("cpu=", int64(t.CPUs), "")
+	dim("mem=", t.MemMB, "M")
+	dim("gres/gpu=", int64(t.GPUs), "")
+	dim("node=", int64(t.Nodes), "")
+	return b
 }
 
 // ParseTRES parses the format produced by TRES.String. Unknown dimensions
@@ -75,7 +81,11 @@ func ParseTRES(s string) (TRES, error) {
 	if strings.TrimSpace(s) == "" {
 		return t, nil
 	}
-	for _, part := range strings.Split(s, ",") {
+	// Every comma-separated component, the empty one after a trailing
+	// comma included.
+	for rest, more := s, true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		key, val, ok := strings.Cut(strings.TrimSpace(part), "=")
 		if !ok {
 			return TRES{}, fmt.Errorf("slurm: malformed TRES component %q", part)

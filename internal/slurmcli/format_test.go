@@ -222,6 +222,23 @@ func TestJobDetailSessionInfo(t *testing.T) {
 	if !ok || app != "matlab" || sess != "abc123" {
 		t.Fatalf("session = %q %q %v", app, sess, ok)
 	}
+	// Empty and key-less elements are skipped; the last value of a key wins.
+	for _, tc := range []struct {
+		comment, app, session string
+		ok                    bool
+	}{
+		{"ood:", "", "", false},
+		{"ood:session=s1", "", "s1", false},
+		{"ood:app=jupyter;", "jupyter", "", true},
+		{"ood:;;app=rstudio;;session=x=y;", "rstudio", "x=y", true},
+		{"ood:noise;app=a;app=b;session", "b", "", true},
+		{"OOD:app=a", "", "", false},
+	} {
+		app, sess, ok := (&SacctRow{Comment: tc.comment}).SessionInfo()
+		if app != tc.app || sess != tc.session || ok != tc.ok {
+			t.Errorf("SessionInfo(%q) = %q %q %v, want %q %q %v", tc.comment, app, sess, ok, tc.app, tc.session, tc.ok)
+		}
+	}
 }
 
 func TestParseGresVariants(t *testing.T) {

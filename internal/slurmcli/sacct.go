@@ -132,120 +132,133 @@ func runSacct(cl *slurm.Cluster, args []string) (string, error) {
 	}
 
 	now := cl.Ctl.Now()
-	jobs := cl.DBD.Jobs(filter, now)
-	fieldList := strings.Split(fields, ",")
+	names := strings.Split(fields, ",")
+	// Field names are case-insensitive, matching sacct: lower-case them once.
+	keys := strings.Split(strings.ToLower(fields), ",")
+	for i := range keys {
+		keys[i] = strings.TrimSpace(keys[i])
+	}
 	sep := "|"
 	if !parsable {
 		sep = "  "
 	}
-	var b strings.Builder
+	var out strings.Builder
 	if !noHeader {
-		for i, f := range fieldList {
+		for i, f := range names {
 			if i > 0 {
-				b.WriteString(sep)
+				out.WriteString(sep)
 			}
-			b.WriteString(f)
+			out.WriteString(f)
 		}
-		b.WriteByte('\n')
+		out.WriteByte('\n')
 	}
-	for _, j := range jobs {
-		for i, f := range fieldList {
+	// Each row is appended into one reused buffer, then copied to out.
+	var row []byte
+	err := cl.DBD.EachJob(filter, now, func(j *slurm.Job) error {
+		row = row[:0]
+		for i, key := range keys {
 			if i > 0 {
-				b.WriteString(sep)
+				row = append(row, sep...)
 			}
-			v, err := sacctField(f, j, now)
-			if err != nil {
-				return "", err
+			var ok bool
+			if row, ok = appendSacctField(row, key, j, now); !ok {
+				return fmt.Errorf("slurmcli: sacct: unknown field %q", names[i])
 			}
-			b.WriteString(v)
 		}
-		b.WriteByte('\n')
+		out.Write(append(row, '\n'))
+		return nil
+	})
+	if err != nil {
+		return "", err
 	}
-	return b.String(), nil
+	return out.String(), nil
 }
 
-// sacctField renders one sacct field for a job. Field names are
-// case-insensitive, matching sacct.
-func sacctField(name string, j *slurm.Job, now time.Time) (string, error) {
-	switch strings.ToLower(strings.TrimSpace(name)) {
+// appendSacctField appends one sacct field of a job to b. key is the
+// lower-cased, trimmed field name; ok is false for an unknown field.
+func appendSacctField(b []byte, key string, j *slurm.Job, now time.Time) (_ []byte, ok bool) {
+	switch key {
 	case "jobid":
-		return j.DisplayID(), nil
+		return j.AppendDisplayID(b), true
 	case "jobidraw":
-		return strconv.FormatInt(int64(j.ID), 10), nil
+		return strconv.AppendInt(b, int64(j.ID), 10), true
 	case "jobname":
-		return j.Name, nil
+		return append(b, j.Name...), true
 	case "user":
-		return j.User, nil
+		return append(b, j.User...), true
 	case "account":
-		return j.Account, nil
+		return append(b, j.Account...), true
 	case "partition":
-		return j.Partition, nil
+		return append(b, j.Partition...), true
 	case "qos":
-		return j.QOS, nil
+		return append(b, j.QOS...), true
 	case "state":
-		return string(j.State), nil
+		return append(b, j.State...), true
 	case "reason":
-		return string(j.Reason), nil
+		return append(b, j.Reason...), true
 	case "submit":
-		return FormatTime(j.SubmitTime), nil
+		return appendTime(b, j.SubmitTime), true
 	case "eligible":
-		return FormatTime(j.EligibleTime), nil
+		return appendTime(b, j.EligibleTime), true
 	case "start":
-		return FormatTime(j.StartTime), nil
+		return appendTime(b, j.StartTime), true
 	case "end":
-		return FormatTime(j.EndTime), nil
+		return appendTime(b, j.EndTime), true
 	case "elapsed":
-		return FormatDuration(j.Elapsed(now)), nil
+		return appendDuration(b, j.Elapsed(now)), true
 	case "timelimit":
-		return FormatDuration(j.TimeLimit), nil
+		return appendDuration(b, j.TimeLimit), true
 	case "reqcpus":
-		return strconv.Itoa(j.ReqTRES.CPUs), nil
+		return strconv.AppendInt(b, int64(j.ReqTRES.CPUs), 10), true
 	case "alloccpus":
-		return strconv.Itoa(j.AllocTRES.CPUs), nil
+		return strconv.AppendInt(b, int64(j.AllocTRES.CPUs), 10), true
 	case "reqmem":
-		return FormatMem(j.ReqTRES.MemMB), nil
+		return appendMem(b, j.ReqTRES.MemMB), true
 	case "reqtres":
-		return j.ReqTRES.String(), nil
+		return j.ReqTRES.AppendTo(b), true
 	case "alloctres":
-		return j.AllocTRES.String(), nil
+		return j.AllocTRES.AppendTo(b), true
 	case "nnodes":
-		return strconv.Itoa(len(j.Nodes)), nil
+		return strconv.AppendInt(b, int64(len(j.Nodes)), 10), true
 	case "nodelist":
 		if len(j.Nodes) == 0 {
-			return "None assigned", nil
+			return append(b, "None assigned"...), true
 		}
-		return slurm.NodeNameRange(j.Nodes), nil
+		return slurm.AppendNodeNameRange(b, j.Nodes), true
 	case "exitcode":
-		return fmt.Sprintf("%d:0", j.ExitCode), nil
+		return append(strconv.AppendInt(b, int64(j.ExitCode), 10), ":0"...), true
 	case "maxrss":
 		if j.StartTime.IsZero() {
-			return "", nil
+			return b, true
 		}
-		return fmt.Sprintf("%dK", j.MaxRSSMB()*1024), nil
+		return append(strconv.AppendInt(b, j.MaxRSSMB()*1024, 10), 'K'), true
 	case "totalcpu":
-		return FormatDuration(j.CPUTimeUsed(now)), nil
+		return appendDuration(b, j.CPUTimeUsed(now)), true
 	case "priority":
-		return strconv.FormatInt(j.Priority, 10), nil
+		return strconv.AppendInt(b, j.Priority, 10), true
 	case "workdir":
-		return j.WorkDir, nil
+		return append(b, j.WorkDir...), true
 	case "tresusageinave":
 		// Job-level GPU utilization, the paper's §9 "GPU utilization
 		// metrics" extension: average gres/gpuutil as a percentage, the way
 		// recent Slurm releases report it via AcctGatherProfile plugins.
 		if j.AllocTRES.GPUs == 0 || j.StartTime.IsZero() {
-			return "", nil
+			return b, true
 		}
-		return fmt.Sprintf("gres/gpuutil=%.1f", j.Profile.GPUUtilization*100), nil
+		b = append(b, "gres/gpuutil="...)
+		return strconv.AppendFloat(b, j.Profile.GPUUtilization*100, 'f', 1, 64), true
 	case "comment":
 		// Open OnDemand interactive sessions are tagged in the job comment;
 		// the dashboard's session tab (§7) reads them back from here.
 		if j.InteractiveApp == "" {
-			return "", nil
+			return b, true
 		}
-		return fmt.Sprintf("ood:app=%s;session=%s", j.InteractiveApp, j.SessionID), nil
-	default:
-		return "", fmt.Errorf("slurmcli: sacct: unknown field %q", name)
+		b = append(b, "ood:app="...)
+		b = append(b, j.InteractiveApp...)
+		b = append(b, ";session="...)
+		return append(b, j.SessionID...), true
 	}
+	return b, false
 }
 
 // sacctQueryFields is the field list the typed Sacct wrapper requests.
@@ -310,7 +323,9 @@ func (r *SacctRow) SessionInfo() (app, session string, ok bool) {
 	if !strings.HasPrefix(r.Comment, prefix) {
 		return "", "", false
 	}
-	for _, kv := range strings.Split(r.Comment[len(prefix):], ";") {
+	for rest := r.Comment[len(prefix):]; rest != ""; {
+		var kv string
+		kv, rest, _ = strings.Cut(rest, ";")
 		k, v, found := strings.Cut(kv, "=")
 		if !found {
 			continue

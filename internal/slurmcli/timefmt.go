@@ -13,10 +13,16 @@ const slurmTimeLayout = "2006-01-02T15:04:05"
 // FormatTime renders t the way Slurm prints timestamps; the zero time prints
 // as "Unknown", matching squeue/sacct output for unset start/end times.
 func FormatTime(t time.Time) string {
+	var buf [32]byte
+	return string(appendTime(buf[:0], t))
+}
+
+// appendTime appends FormatTime(t) to b.
+func appendTime(b []byte, t time.Time) []byte {
 	if t.IsZero() {
-		return "Unknown"
+		return append(b, "Unknown"...)
 	}
-	return t.UTC().Format(slurmTimeLayout)
+	return t.UTC().AppendFormat(b, slurmTimeLayout)
 }
 
 // ParseTime is the inverse of FormatTime. "Unknown", "N/A", "None" and the
@@ -35,17 +41,32 @@ func ParseTime(s string) (time.Time, error) {
 
 // FormatDuration renders d in Slurm's elapsed format: [D-]HH:MM:SS.
 func FormatDuration(d time.Duration) string {
+	var buf [32]byte
+	return string(appendDuration(buf[:0], d))
+}
+
+// appendDuration appends FormatDuration(d) to b.
+func appendDuration(b []byte, d time.Duration) []byte {
 	if d < 0 {
 		d = 0
 	}
 	total := int64(d / time.Second)
 	days := total / 86400
 	total %= 86400
-	h, m, s := total/3600, (total%3600)/60, total%60
 	if days > 0 {
-		return fmt.Sprintf("%d-%02d:%02d:%02d", days, h, m, s)
+		b = strconv.AppendInt(b, days, 10)
+		b = append(b, '-')
 	}
-	return fmt.Sprintf("%02d:%02d:%02d", h, m, s)
+	b = append2Digits(b, total/3600)
+	b = append(b, ':')
+	b = append2Digits(b, (total%3600)/60)
+	b = append(b, ':')
+	return append2Digits(b, total%60)
+}
+
+// append2Digits appends n, which is below 100, as two digits.
+func append2Digits(b []byte, n int64) []byte {
+	return append(b, byte('0'+n/10), byte('0'+n%10))
 }
 
 // ParseDuration is the inverse of FormatDuration. It also accepts Slurm's
@@ -64,22 +85,22 @@ func ParseDuration(s string) (time.Duration, error) {
 		days = n
 		s = rest
 	}
-	parts := strings.Split(s, ":")
+	// [HH:]MM:SS: two or three colon-separated parts.
+	first, rest, ok := strings.Cut(s, ":")
+	second, third, three := strings.Cut(rest, ":")
+	if !ok || strings.Contains(third, ":") {
+		return 0, fmt.Errorf("slurmcli: bad duration %q", s)
+	}
 	var h, m, sec int64
 	var err error
-	switch len(parts) {
-	case 3:
-		if h, err = strconv.ParseInt(parts[0], 10, 64); err == nil {
-			if m, err = strconv.ParseInt(parts[1], 10, 64); err == nil {
-				sec, err = strconv.ParseInt(parts[2], 10, 64)
+	if three {
+		if h, err = strconv.ParseInt(first, 10, 64); err == nil {
+			if m, err = strconv.ParseInt(second, 10, 64); err == nil {
+				sec, err = strconv.ParseInt(third, 10, 64)
 			}
 		}
-	case 2:
-		if m, err = strconv.ParseInt(parts[0], 10, 64); err == nil {
-			sec, err = strconv.ParseInt(parts[1], 10, 64)
-		}
-	default:
-		return 0, fmt.Errorf("slurmcli: bad duration %q", s)
+	} else if m, err = strconv.ParseInt(first, 10, 64); err == nil {
+		sec, err = strconv.ParseInt(rest, 10, 64)
 	}
 	if err != nil {
 		return 0, fmt.Errorf("slurmcli: bad duration %q: %v", s, err)
@@ -90,10 +111,16 @@ func ParseDuration(s string) (time.Duration, error) {
 // FormatMem renders a memory size in MiB the way Slurm prints ReqMem, using
 // G when the value is an exact number of GiB.
 func FormatMem(mb int64) string {
+	var buf [24]byte
+	return string(appendMem(buf[:0], mb))
+}
+
+// appendMem appends FormatMem(mb) to b.
+func appendMem(b []byte, mb int64) []byte {
 	if mb >= 1024 && mb%1024 == 0 {
-		return fmt.Sprintf("%dG", mb/1024)
+		return append(strconv.AppendInt(b, mb/1024, 10), 'G')
 	}
-	return fmt.Sprintf("%dM", mb)
+	return append(strconv.AppendInt(b, mb, 10), 'M')
 }
 
 // ParseMem parses "8000M" / "16G" / bare MiB counts.
