@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -393,7 +394,14 @@ func (s *Server) handleJobArray(w http.ResponseWriter, r *http.Request) {
 		writeFetchError(w, err)
 		return
 	}
+	// sacct -j N also answers for a plain job N, or for N when it is one
+	// task of another array; only the tasks of array N make the tab.
 	rows := v.([]slurmcli.SacctRow)
+	prefix := strconv.FormatInt(int64(id), 10) + "_"
+	notTask := func(row slurmcli.SacctRow) bool { return !strings.HasPrefix(row.JobID, prefix) }
+	if slices.ContainsFunc(rows, notTask) {
+		rows = slices.DeleteFunc(slices.Clone(rows), notTask) // rows is the cached value
+	}
 	if len(rows) == 0 {
 		writeError(w, fmt.Errorf("%w: job array %d", errNotFound, id))
 		return

@@ -222,6 +222,14 @@ func TestJobArrayTab(t *testing.T) {
 	}
 	// Privacy: carol cannot see the array.
 	e.wantStatus("carol", fmt.Sprintf("/api/job/%d/array", first), 403)
+	// Neither one task's raw ID nor a plain job is an array.
+	e.wantStatus("alice", fmt.Sprintf("/api/job/%d/array", first+2), 404)
+	plain := e.submit(slurm.SubmitRequest{
+		Name: "plain", User: "alice", Account: "lab-a", Partition: "cpu",
+		ReqTRES: slurm.TRES{CPUs: 1, MemMB: 512},
+		Profile: slurm.UsageProfile{ActualDuration: time.Minute},
+	})
+	e.wantStatus("alice", "/api/job/"+jobIDStr(plain)+"/array", 404)
 }
 
 func TestJobOverviewCompletedColor(t *testing.T) {

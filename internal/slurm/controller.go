@@ -46,6 +46,10 @@ type Controller struct {
 	// gated at the command surface (slurmcli.SimRunner), not here, so
 	// internal bookkeeping keeps working while "clients" see failures.
 	healthGate healthGate
+
+	// pass is the scheduling-pass table Tick resets and fills on every call
+	// (see schedPass); only its storage outlives the pass.
+	pass schedPass
 }
 
 // newController builds a controller from already-validated cluster state.

@@ -354,7 +354,7 @@ func TestJobArraySubmit(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl.Ctl.Tick()
-	tasks := cl.DBD.Jobs(JobFilter{ArrayJobID: first}, cl.Ctl.Now())
+	tasks := cl.DBD.Jobs(JobFilter{JobIDs: []JobID{first}}, cl.Ctl.Now())
 	if len(tasks) != 5 {
 		t.Fatalf("array tasks = %d, want 5", len(tasks))
 	}

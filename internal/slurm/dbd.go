@@ -16,7 +16,8 @@ import (
 type DBD struct {
 	mu     sync.RWMutex
 	jobs   map[JobID]*Job
-	order  []JobID // ascending submit time (ties broken by ID)
+	order  []JobID           // ascending submit time (ties broken by ID)
+	arrays map[JobID][]JobID // array job ID → the IDs of its tasks
 	assocs map[AssocKey]*Association
 	stats  *DaemonStats
 
@@ -33,6 +34,7 @@ type DBD struct {
 func NewDBD() *DBD {
 	return &DBD{
 		jobs:    make(map[JobID]*Job),
+		arrays:  make(map[JobID][]JobID),
 		assocs:  make(map[AssocKey]*Association),
 		stats:   NewDaemonStats("slurmdbd"),
 		rollups: newRollupStore(),
@@ -58,6 +60,7 @@ func (d *DBD) recordJob(j *Job) {
 	defer d.mu.Unlock()
 	old, exists := d.jobs[j.ID]
 	if !exists {
+		d.addArrayTask(j)
 		d.order = append(d.order, j.ID)
 		// Keep order sorted; submissions arrive roughly in order so the
 		// common case is an append.
@@ -72,6 +75,14 @@ func (d *DBD) recordJob(j *Job) {
 		d.rollups.ingest(j)
 	}
 	d.jobs[j.ID] = j.Clone()
+}
+
+// addArrayTask indexes a newly stored record under its array, if any.
+// Caller holds d.mu.
+func (d *DBD) addArrayTask(j *Job) {
+	if j.IsArrayTask() {
+		d.arrays[j.ArrayJobID] = append(d.arrays[j.ArrayJobID], j.ID)
+	}
 }
 
 // chargeUsage accumulates finished-job usage onto the user and account
@@ -105,6 +116,26 @@ func (d *DBD) Association(key AssocKey) *Association {
 	return nil
 }
 
+// accountView returns what a scheduling pass needs of the account-level
+// association: its CPU limit and fair-share penalty, read in place under
+// the read lock instead of cloned. An unknown account has neither.
+func (d *DBD) accountView(account string) acctView {
+	d.mu.RLock()
+	defer d.mu.RUnlock()
+	a := d.assocs[AssocKey{Account: account}]
+	if a == nil {
+		return acctView{}
+	}
+	return acctView{cpuLimit: a.GrpCPULimit, penalty: fairSharePenalty(a.CPUTimeUsed)}
+}
+
+// fairSharePenalty derives the (negative) fair-share factor from an
+// account's accumulated core-hours — heavy accounts slowly lose ground to
+// light ones, a simplified version of Slurm's fair-share.
+func fairSharePenalty(cpuHours float64) int64 {
+	return -min(int64(cpuHours/200), 400) // one point per 200 core-hours
+}
+
 // Associations returns copies of all associations, account-level first,
 // sorted by (account, user). Counted as a DBD usage RPC.
 func (d *DBD) Associations() []*Association {
@@ -135,9 +166,11 @@ type JobFilter struct {
 	Start     time.Time
 	End       time.Time
 	Partition string
-	JobIDs    []JobID
-	// ArrayJobID selects all tasks of one job array.
-	ArrayJobID JobID
+	// JobIDs and Tasks select records by ID the way sacct -j reads its
+	// list: a record matches when any entry names it. A JobIDs entry N
+	// names job N and every task of array N; a Tasks entry names one task.
+	JobIDs []JobID
+	Tasks  []ArrayTask
 	// Limit caps the number of returned records (most recent first when set).
 	Limit int
 }
@@ -164,19 +197,7 @@ func (f *JobFilter) matches(j *Job, now time.Time) bool {
 			return false
 		}
 	}
-	if len(f.JobIDs) > 0 {
-		ok := false
-		for _, id := range f.JobIDs {
-			if j.ID == id {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return false
-		}
-	}
-	if f.ArrayJobID != 0 && j.ArrayJobID != f.ArrayJobID {
+	if (len(f.JobIDs) > 0 || len(f.Tasks) > 0) && !f.names(j) {
 		return false
 	}
 	if !f.Start.IsZero() || !f.End.IsZero() {
@@ -192,6 +213,29 @@ func (f *JobFilter) matches(j *Job, now time.Time) bool {
 		}
 	}
 	return true
+}
+
+// names reports whether an entry of JobIDs or Tasks names the job.
+func (f *JobFilter) names(j *Job) bool {
+	for _, id := range f.JobIDs {
+		if j.ID == id || (j.IsArrayTask() && j.ArrayJobID == id) {
+			return true
+		}
+	}
+	if j.IsArrayTask() {
+		for _, t := range f.Tasks {
+			if t.ArrayJobID == j.ArrayJobID && t.TaskID == j.ArrayTaskID {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// ArrayTask names one task of a job array, sacct's "N_T".
+type ArrayTask struct {
+	ArrayJobID JobID
+	TaskID     int
 }
 
 func containsString(haystack []string, needle string) bool {
@@ -236,15 +280,16 @@ func (d *DBD) Jobs(f JobFilter, now time.Time) []*Job {
 // write (recordJob, Backfill) and never changed in place, so a reader never
 // sees a record half-written.
 //
-// With JobIDs set the candidates come from the by-ID map instead of a scan
-// of every record, the way slurmdbd answers sacct -j from its primary key.
+// With JobIDs or Tasks set the candidates come from the by-ID map and the
+// array index instead of a scan of every record, the way slurmdbd answers
+// sacct -j from its keys.
 func (d *DBD) EachJob(f JobFilter, now time.Time, fn func(*Job) error) error {
 	d.stats.Record(RPCSacct)
 	d.mu.RLock()
 	defer d.mu.RUnlock()
 	ids := d.order
-	if len(f.JobIDs) > 0 {
-		ids = d.byID(f.JobIDs)
+	if len(f.JobIDs) > 0 || len(f.Tasks) > 0 {
+		ids = d.byID(&f)
 	}
 	if f.Limit > 0 {
 		// Newest first, stopping at the limit.
@@ -269,17 +314,25 @@ func (d *DBD) EachJob(f JobFilter, now time.Time, fn func(*Job) error) error {
 	return nil
 }
 
-// byID returns the known IDs among ids, each once, in d.order's order.
-// Caller holds d.mu.
-func (d *DBD) byID(ids []JobID) []JobID {
-	out := make([]JobID, 0, len(ids))
-	for _, id := range ids {
-		if d.jobs[id] != nil && !slices.Contains(out, id) {
+// byID returns the IDs of the stored records f's JobIDs and Tasks name,
+// each once, in d.order's order. Caller holds d.mu.
+func (d *DBD) byID(f *JobFilter) []JobID {
+	out := make([]JobID, 0, len(f.JobIDs)+len(f.Tasks))
+	for _, id := range f.JobIDs {
+		if d.jobs[id] != nil {
 			out = append(out, id)
+		}
+		out = append(out, d.arrays[id]...)
+	}
+	for _, t := range f.Tasks {
+		for _, id := range d.arrays[t.ArrayJobID] {
+			if d.jobs[id].ArrayTaskID == t.TaskID {
+				out = append(out, id)
+			}
 		}
 	}
 	d.sortByJobCmp(out)
-	return out
+	return slices.Compact(out) // equal IDs sort next to each other
 }
 
 // Job returns the accounting record for one job, or nil when unknown.

@@ -105,12 +105,17 @@ func oracleCluster(t *testing.T, seed int64) (*Cluster, *clock.Sim) {
 					}
 				}
 				user := users[r.Intn(len(users))]
-				batch = append(batch, &Job{
+				j := &Job{
 					ID: backfillID, Name: "hist", User: user, Account: accounts[user][0],
 					Partition: "cpu", QOS: "normal", State: StateCompleted,
 					SubmitTime: submit, StartTime: submit.Add(time.Minute), EndTime: submit.Add(time.Hour),
 					ReqTRES: TRES{CPUs: 2, MemMB: 1024, Nodes: 1}, AllocTRES: TRES{CPUs: 2, MemMB: 1024, Nodes: 1},
-				})
+				}
+				if r.Intn(3) == 0 {
+					// Imported array tasks need not have contiguous IDs.
+					j.ArrayJobID, j.ArrayTaskID = JobID(1+r.Intn(int(backfillID))), r.Intn(4)
+				}
+				batch = append(batch, j)
 				backfillID++
 			}
 			cl.DBD.Backfill(batch)
@@ -173,8 +178,10 @@ func linearJobs(d *DBD, f JobFilter, now time.Time) []*Job {
 }
 
 // randomFilter draws a filter over the stored records: unknown, duplicate
-// and unordered job IDs, array IDs, users, accounts, states, partitions,
-// limits, and start/end bounds on or one second off a record's times.
+// and unordered job IDs, array IDs, array tasks (known, past the last task,
+// of unknown arrays, of plain jobs, of array 0), users, accounts, states,
+// partitions, limits, and start/end bounds on or one second off a record's
+// times.
 func randomFilter(r *rand.Rand, records []*Job) JobFilter {
 	var f JobFilter
 	pick := func() *Job { return records[r.Intn(len(records))] }
@@ -194,11 +201,20 @@ func randomFilter(r *rand.Rand, records []*Job) JobFilter {
 			}
 		}
 	}
-	if r.Intn(6) == 0 {
-		if j := pick(); j.ArrayJobID != 0 || r.Intn(2) == 0 {
-			f.ArrayJobID = j.ArrayJobID
-			if f.ArrayJobID == 0 {
-				f.ArrayJobID = j.ID
+	if r.Intn(3) == 0 {
+		for n := 1 + r.Intn(4); n > 0; n-- {
+			j := pick()
+			switch r.Intn(6) {
+			case 0:
+				f.JobIDs = append(f.JobIDs, j.ArrayJobID) // zero for a plain job
+			case 1:
+				f.Tasks = append(f.Tasks, ArrayTask{ArrayJobID: j.ArrayJobID, TaskID: j.ArrayTaskID + 100})
+			case 2:
+				f.Tasks = append(f.Tasks, ArrayTask{ArrayJobID: JobID(900000 + r.Intn(10))})
+			case 3:
+				f.Tasks = append(f.Tasks, ArrayTask{ArrayJobID: j.ID, TaskID: r.Intn(2)})
+			default:
+				f.Tasks = append(f.Tasks, ArrayTask{ArrayJobID: j.ArrayJobID, TaskID: j.ArrayTaskID})
 			}
 		}
 	}
@@ -251,7 +267,8 @@ func jobIDs(jobs []*Job) []JobID {
 // TestDBDJobsMatchLinearScan is the randomized oracle for the accounting
 // query path: over random job streams and random filters, Jobs and EachJob
 // return exactly the records, in exactly the order, of a scan of every
-// record, and each call counts one sacct RPC.
+// record, and each call counts one sacct RPC. Job-ID and array-task filters
+// go through the by-ID map and the array index.
 func TestDBDJobsMatchLinearScan(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3, 4} {
 		cl, clk := oracleCluster(t, seed)

@@ -206,28 +206,23 @@ func (c *Controller) applyPowerLocked(now time.Time) {
 // blocked on resources — Slurm's cloud-scheduling ResumeProgram trigger. It
 // wakes at most as many nodes as the job needs; they become schedulable after
 // the resume delay and the job starts on a later pass. Caller holds c.mu.
-func (c *Controller) autoWakeLocked(j *Job, part *Partition, now time.Time) {
-	want := j.ReqTRES.Nodes
-	if want <= 0 {
-		want = 1
-	}
+func (c *Controller) autoWakeLocked(p *schedPass, pp *passPart, j *Job) {
+	want := max(j.ReqTRES.Nodes, 1)
 	share := perNodeShare(j.ReqTRES, want)
+	jobEnd := p.now.Add(j.TimeLimit)
 	woken := 0
-	for _, name := range part.Nodes {
+	for _, e := range pp.asleep {
 		if woken >= want {
 			return
 		}
-		n := c.nodes[name]
-		if n == nil || !n.PoweredDown || n.Drain || n.Maint || n.State == NodeDown {
+		n := e.n
+		if !n.PoweredDown || n.Drain || n.Maint || n.State == NodeDown {
 			continue
 		}
-		if !n.HasFeatures(j.Constraint) || !share.Fits(n.Free()) {
+		if !n.HasFeatures(j.Constraint) || !share.Fits(n.Free()) || e.maint.Before(jobEnd) {
 			continue
 		}
-		if c.nodeBlockedByMaintenanceLocked(name, now, j.TimeLimit) {
-			continue
-		}
-		if c.powerUpLocked(name, true) == nil {
+		if c.powerUpLocked(n.Name, true) == nil {
 			woken++
 		}
 	}

@@ -43,7 +43,7 @@ func (c *Controller) PendingPriorities() []PriorityFactors {
 		if age := now.Sub(j.SubmitTime); age > 0 {
 			f.Age = int64(age / time.Minute)
 		}
-		f.FairShare = c.fairSharePenaltyLocked(j.Account)
+		f.FairShare = c.dbd.accountView(j.Account).penalty
 		f.Priority = f.Base + f.QOS + f.Partition + f.Age + f.FairShare
 		out = append(out, f)
 	}

@@ -130,22 +130,3 @@ func (c *Controller) applyMaintenanceLocked(now time.Time) {
 		n.Maint = maint
 	}
 }
-
-// nodeBlockedByMaintenanceLocked reports whether starting a job of the
-// given duration on the node now would collide with an upcoming window —
-// Slurm's "ReqNodeNotAvail, Reserved for maintenance" behaviour. Caller
-// holds c.mu.
-func (c *Controller) nodeBlockedByMaintenanceLocked(name string, now time.Time, limit time.Duration) bool {
-	jobEnd := now.Add(limit)
-	for i := range c.maintWindows {
-		w := &c.maintWindows[i]
-		if !w.covers(name) {
-			continue
-		}
-		// Overlap of [now, jobEnd) with [Start, End).
-		if now.Before(w.End) && w.Start.Before(jobEnd) {
-			return true
-		}
-	}
-	return false
-}

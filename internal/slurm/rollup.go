@@ -542,6 +542,7 @@ func (d *DBD) Backfill(jobs []*Job) int {
 		}
 		cp := j.Clone()
 		d.jobs[cp.ID] = cp
+		d.addArrayTask(cp)
 		d.order = append(d.order, cp.ID)
 		d.rollups.ingest(cp)
 		added++

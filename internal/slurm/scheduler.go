@@ -1,7 +1,8 @@
 package slurm
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -18,71 +19,102 @@ const schedQueueDepth = 200
 // benchmarks call it from a driver loop to simulate a live cluster.
 func (c *Controller) Tick() {
 	now := c.clock.Now()
-
-	type finished struct {
-		job *Job
-	}
-	var done []finished
+	var done []*Job
 
 	c.mu.Lock()
 	// 0. Enter/leave scheduled maintenance windows; complete power-up and
 	// reboot transitions whose boot delay has elapsed.
 	c.applyMaintenanceLocked(now)
 	c.applyPowerLocked(now)
-	// 1. Fail jobs (running or suspended) whose nodes went down.
+	// Steps 1-3 share one walk of the queue. Node failures (1) are applied
+	// as the walk meets them; completions (2) are collected and applied
+	// after it, so every failure still precedes every completion, each in
+	// queue order. What is left pending or running feeds the pass (3).
+	p := &c.pass
+	p.reset(now)
+	anyDown := false
+	for _, n := range c.nodes {
+		if n.State == NodeDown {
+			anyDown = true
+			break
+		}
+	}
+	ending := p.ending[:0]
 	for _, id := range c.jobOrder {
 		j := c.jobs[id]
-		if j == nil || (j.State != StateRunning && j.State != StateSuspended) {
+		if j == nil {
 			continue
 		}
-		for _, nname := range j.Nodes {
-			if n := c.nodes[nname]; n != nil && n.State == NodeDown {
-				c.freeJobResourcesLocked(j)
-				j.State = StateNodeFail
-				j.Reason = ReasonNone
-				j.EndTime = now
-				j.ExitCode = 1
-				c.emitJobEvent(EventNodeFail, j, now)
-				done = append(done, finished{job: j.Clone()})
-				break
+		switch {
+		case j.State == StatePending:
+			p.pending = append(p.pending, j)
+		case j.State != StateRunning && j.State != StateSuspended:
+			// Finished: nothing to do.
+		case anyDown && c.onDownNodeLocked(j):
+			// 1. Fail jobs (running or suspended) whose nodes went down.
+			c.freeJobResourcesLocked(j)
+			j.State = StateNodeFail
+			j.Reason = ReasonNone
+			j.EndTime = now
+			j.ExitCode = 1
+			c.emitJobEvent(EventNodeFail, j, now)
+			done = append(done, j.Clone())
+		case j.State == StateSuspended:
+			// Holds its nodes but neither completes nor counts as running.
+		default:
+			if end, _ := j.scheduledEnd(); !now.Before(end) {
+				ending = append(ending, j)
+			} else {
+				c.countRunningLocked(p, j)
 			}
 		}
 	}
 	// 2. Complete jobs whose run time elapsed.
-	for _, id := range c.jobOrder {
-		j := c.jobs[id]
-		if j == nil || j.State != StateRunning {
-			continue
-		}
+	for _, j := range ending {
 		end, state := j.scheduledEnd()
-		if !now.Before(end) {
-			c.freeJobResourcesLocked(j)
-			j.State = state
-			j.Reason = ReasonNone
-			j.EndTime = end // exact end, not tick time: deterministic accounting
-			j.ExitCode = j.Profile.ExitCode
-			if state == StateTimeout || state == StateOutOfMemory {
-				j.ExitCode = 1
-			}
-			c.emitJobEvent(stateEventKind(state), j, end)
-			done = append(done, finished{job: j.Clone()})
+		c.freeJobResourcesLocked(j)
+		j.State = state
+		j.Reason = ReasonNone
+		j.EndTime = end // exact end, not tick time: deterministic accounting
+		j.ExitCode = j.Profile.ExitCode
+		if state == StateTimeout || state == StateOutOfMemory {
+			j.ExitCode = 1
 		}
+		c.emitJobEvent(stateEventKind(state), j, end)
+		done = append(done, j.Clone())
 	}
+	p.ending = ending
 	// 3. Schedule the pending queue.
-	c.scheduleLocked(now)
+	c.scheduleLocked(p)
+	// The table's storage outlives the pass; its job pointers must not keep
+	// purged jobs alive.
+	clear(p.pending)
+	clear(p.ending)
+	clear(p.victims[:cap(p.victims)])
 	// 4. Refresh node CPU load from running jobs' utilization profiles.
 	c.refreshNodeLoadLocked()
 	// 5. Purge finished jobs past the retention window.
 	c.purgeLocked(now)
 	c.mu.Unlock()
 
-	for _, f := range done {
-		c.dbd.recordJob(f.job)
-		c.dbd.chargeUsage(f.job, now)
+	for _, j := range done {
+		c.dbd.recordJob(j)
+		c.dbd.chargeUsage(j, now)
 	}
 	// Seal rollup buckets the clock has moved fully past and evict buckets
 	// older than their retention (cascade compaction, see rollup.go).
 	c.dbd.AdvanceRollups(now)
+}
+
+// onDownNodeLocked reports whether any of the job's nodes is down. Caller
+// holds c.mu.
+func (c *Controller) onDownNodeLocked(j *Job) bool {
+	for _, name := range j.Nodes {
+		if n := c.nodes[name]; n != nil && n.State == NodeDown {
+			return true
+		}
+	}
+	return false
 }
 
 // scheduledEnd returns when a running job will finish and in which state.
@@ -105,52 +137,235 @@ func (j *Job) scheduledEnd() (time.Time, JobState) {
 	return j.StartTime.Add(run + j.SuspendTotal), state
 }
 
+// noMaint is the maintenance start of a node that no unfinished window
+// covers: later than any job could end, so it blocks nothing.
+var noMaint = time.Unix(1<<62, 0)
+
+// schedPass is the table one scheduling pass reads instead of resolving
+// nodes, maintenance windows and associations for every pending job, the
+// way slurmctld builds its node bitmaps once per scheduling cycle. Tick
+// fills the queue half while it walks the jobs; scheduleLocked builds the
+// rest and hands the table to every placement helper. The Controller keeps
+// one so that each pass reuses the storage of the last.
+type schedPass struct {
+	now     time.Time
+	pending []*Job
+	ending  []*Job // Tick's completions, applied after its walk
+
+	// Running work, counted once per pass and bumped as jobs start.
+	runningPerUserQOS map[[2]string]int // QOS with a MaxJobsPerUser only
+	cpusInUse         map[string]int    // per account
+	preemptable       int               // running jobs in a preemptable QOS
+
+	accts map[string]acctView // per account, read on first use
+
+	// The earliest Start among windows that have not ended: of whole-cluster
+	// windows (noMaint when none), and per node named by a window.
+	maintAll    time.Time
+	maintByNode map[string]time.Time
+
+	parts []passPart // one per partition, in partOrder, built on first use
+	// gen counts the pass's starts. A requeue frees room only for the start
+	// it makes room for, so every change of a node's free TRES bumps it.
+	gen int
+
+	// Buffers placement and preemption reuse.
+	chosen  []string
+	victims []*Job
+	seen    map[JobID]bool
+}
+
+// acctView is what the pass needs of an account-level association.
+type acctView struct {
+	cpuLimit int   // GrpCPULimit; zero means unlimited
+	penalty  int64 // fairSharePenalty of the account's usage
+}
+
+// passPart is one partition's nodes as the pass sees them. Which nodes are
+// schedulable cannot change within a pass: starts and requeues only move
+// allocations, and a woken node stays unschedulable until it has booted.
+type passPart struct {
+	part   *Partition
+	built  bool
+	nodes  []passNode // schedulable nodes, in name order
+	asleep []passNode // powered-down nodes, in name order
+	// latestMaint is the latest maintenance start over nodes; noMaint when
+	// some schedulable node has no window ahead of it.
+	latestMaint time.Time
+	// maxFree is the component-wise maximum free TRES over nodes as of pass
+	// generation maxFreeGen (see freeBound).
+	maxFree    TRES
+	maxFreeGen int
+}
+
+// passNode is one node and the earliest Start of an unfinished window
+// covering it (noMaint when none). A job of time limit L is blocked on the
+// node exactly when that start is before now+L: the job's [now, now+L)
+// would overlap the window.
+type passNode struct {
+	n     *Node
+	maint time.Time
+}
+
+// reset starts a pass at now. Caller holds c.mu.
+func (p *schedPass) reset(now time.Time) {
+	if p.seen == nil {
+		p.runningPerUserQOS = make(map[[2]string]int)
+		p.cpusInUse = make(map[string]int)
+		p.accts = make(map[string]acctView)
+		p.maintByNode = make(map[string]time.Time)
+		p.seen = make(map[JobID]bool)
+	}
+	clear(p.runningPerUserQOS)
+	clear(p.cpusInUse)
+	clear(p.accts)
+	p.now = now
+	p.pending = p.pending[:0]
+	p.preemptable = 0
+	p.gen = 0
+}
+
+// countRunningLocked adds a running job to the pass's usage counts. Caller
+// holds c.mu.
+func (c *Controller) countRunningLocked(p *schedPass, j *Job) {
+	p.cpusInUse[j.Account] += j.AllocTRES.CPUs
+	if q := c.qos[j.QOS]; q != nil {
+		if q.MaxJobsPerUser > 0 {
+			p.runningPerUserQOS[[2]string{j.User, j.QOS}]++
+		}
+		if q.Preemptable {
+			p.preemptable++
+		}
+	}
+}
+
+// account returns the account's view, reading the association on first use
+// in the pass.
+func (p *schedPass) account(d *DBD, account string) acctView {
+	v, ok := p.accts[account]
+	if !ok {
+		v = d.accountView(account)
+		p.accts[account] = v
+	}
+	return v
+}
+
+// beginPlacementLocked readies the placement half of the table: it folds
+// the maintenance windows into maintAll and maintByNode and leaves every
+// partition's nodes to be resolved on first use. Caller holds c.mu.
+func (c *Controller) beginPlacementLocked(p *schedPass) {
+	p.maintAll = noMaint
+	clear(p.maintByNode)
+	for i := range c.maintWindows {
+		w := &c.maintWindows[i]
+		if !p.now.Before(w.End) {
+			continue // over: blocks nothing from now on
+		}
+		if len(w.Nodes) == 0 {
+			if w.Start.Before(p.maintAll) {
+				p.maintAll = w.Start
+			}
+			continue
+		}
+		for _, name := range w.Nodes {
+			if t, ok := p.maintByNode[name]; !ok || w.Start.Before(t) {
+				p.maintByNode[name] = w.Start
+			}
+		}
+	}
+	if len(p.parts) != len(c.partOrder) {
+		p.parts = make([]passPart, len(c.partOrder))
+	}
+	for i, name := range c.partOrder {
+		p.parts[i].part = c.partitions[name]
+		p.parts[i].built = false
+	}
+}
+
+// partLocked returns the pass's table for part, resolving its nodes on
+// first use. Caller holds c.mu.
+func (c *Controller) partLocked(p *schedPass, part *Partition) *passPart {
+	var pp *passPart
+	for i := range p.parts {
+		if p.parts[i].part == part {
+			pp = &p.parts[i]
+			break
+		}
+	}
+	if pp.built {
+		return pp
+	}
+	pp.built = true
+	pp.nodes, pp.asleep = pp.nodes[:0], pp.asleep[:0]
+	pp.latestMaint = time.Time{}
+	pp.maxFreeGen = -1
+	for _, name := range part.Nodes {
+		n := c.nodes[name]
+		if n == nil {
+			continue
+		}
+		e := passNode{n: n, maint: p.maintAll}
+		if len(p.maintByNode) > 0 {
+			if t, ok := p.maintByNode[name]; ok && t.Before(e.maint) {
+				e.maint = t
+			}
+		}
+		switch {
+		case n.Schedulable():
+			pp.nodes = append(pp.nodes, e)
+			if e.maint.After(pp.latestMaint) {
+				pp.latestMaint = e.maint
+			}
+		case n.PoweredDown:
+			pp.asleep = append(pp.asleep, e)
+		}
+	}
+	return pp
+}
+
+// freeBound returns the component-wise maximum free TRES over the
+// partition's schedulable nodes, recomputed when a start (and the requeue
+// before it, if any) has moved allocations since it was last taken.
+func (p *schedPass) freeBound(pp *passPart) TRES {
+	if pp.maxFreeGen != p.gen {
+		var m TRES
+		for _, e := range pp.nodes {
+			f := e.n.Free()
+			m.CPUs = max(m.CPUs, f.CPUs)
+			m.MemMB = max(m.MemMB, f.MemMB)
+			m.GPUs = max(m.GPUs, f.GPUs)
+		}
+		pp.maxFree, pp.maxFreeGen = m, p.gen
+	}
+	return pp.maxFree
+}
+
 // scheduleLocked runs one priority-ordered scheduling pass with simple
 // backfill: the highest-priority job that cannot start is marked Resources
 // (it is "next in line"), and lower-priority jobs that do fit are started
 // anyway, mirroring Slurm's backfill scheduler in the absence of future
-// reservations. Caller holds c.mu.
-func (c *Controller) scheduleLocked(now time.Time) {
-	pending := make([]*Job, 0, 64)
-	runningPerUserQOS := make(map[[2]string]int)
-	cpusInUsePerAccount := make(map[string]int)
-	gpusInUsePerAccount := make(map[string]int)
-	for _, id := range c.jobOrder {
-		j := c.jobs[id]
-		if j == nil {
-			continue
-		}
-		switch j.State {
-		case StatePending:
-			pending = append(pending, j)
-		case StateRunning:
-			runningPerUserQOS[[2]string{j.User, j.QOS}]++
-			cpusInUsePerAccount[j.Account] += j.AllocTRES.CPUs
-			gpusInUsePerAccount[j.Account] += j.AllocTRES.GPUs
-		}
-	}
+// reservations. Tick has filled p's pending queue and running counts.
+// Caller holds c.mu.
+func (c *Controller) scheduleLocked(p *schedPass) {
+	pending := p.pending
 	if len(pending) == 0 {
 		return
 	}
+	now := p.now
+	c.beginPlacementLocked(p)
 
-	// Refresh priorities (age factor grows as jobs wait) and sort. The
-	// fair-share penalty is per account and constant within one pass, so
-	// compute it once per account rather than once per job.
-	penalties := make(map[string]int64)
+	// Refresh priorities (age factor grows as jobs wait) and sort.
 	for _, j := range pending {
-		if _, ok := penalties[j.Account]; !ok {
-			penalties[j.Account] = c.fairSharePenaltyLocked(j.Account)
-		}
-		j.Priority = c.priorityLocked(j, now) + penalties[j.Account]
+		j.Priority = c.priorityLocked(j, now) + p.account(c.dbd, j.Account).penalty
 	}
-	sort.Slice(pending, func(i, k int) bool {
-		if pending[i].Priority != pending[k].Priority {
-			return pending[i].Priority > pending[k].Priority
+	slices.SortFunc(pending, func(a, b *Job) int {
+		if a.Priority != b.Priority {
+			return cmp.Compare(b.Priority, a.Priority)
 		}
-		if !pending[i].SubmitTime.Equal(pending[k].SubmitTime) {
-			return pending[i].SubmitTime.Before(pending[k].SubmitTime)
+		if c := a.SubmitTime.Compare(b.SubmitTime); c != 0 {
+			return c
 		}
-		return pending[i].ID < pending[k].ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 
 	// Like slurmctld's default_queue_depth, bound the expensive part of the
@@ -188,15 +403,14 @@ func (c *Controller) scheduleLocked(now time.Time) {
 			j.Reason = ReasonPartitionDown
 			continue
 		}
-		assoc := c.dbd.Association(AssocKey{Account: j.Account})
-		if assoc != nil && assoc.GrpCPULimit > 0 &&
-			cpusInUsePerAccount[j.Account]+j.ReqTRES.CPUs > assoc.GrpCPULimit {
+		if limit := p.accts[j.Account].cpuLimit; limit > 0 &&
+			p.cpusInUse[j.Account]+j.ReqTRES.CPUs > limit {
 			j.Reason = ReasonAssocGrpCpuLimit
 			continue
 		}
 		if j.QOS != "" {
 			if q := c.qos[j.QOS]; q != nil && q.MaxJobsPerUser > 0 &&
-				runningPerUserQOS[[2]string{j.User, j.QOS}] >= q.MaxJobsPerUser {
+				p.runningPerUserQOS[[2]string{j.User, j.QOS}] >= q.MaxJobsPerUser {
 				j.Reason = ReasonQOSMaxJobsPerUser
 				continue
 			}
@@ -204,13 +418,14 @@ func (c *Controller) scheduleLocked(now time.Time) {
 
 		// Placement, then preemption for the job at the head of the queue.
 		attempts++
-		nodes := c.placeLocked(j, part)
+		pp := c.partLocked(p, part)
+		nodes := p.place(pp, j)
 		if nodes == nil && !blockedOnResources {
-			nodes = c.tryPreemptLocked(j, part, now)
+			nodes = c.tryPreemptLocked(p, pp, j)
 		}
 		if nodes == nil {
 			switch {
-			case c.allNodesMaintBlockedLocked(j, part, now):
+			case pp.allMaintBlocked(now.Add(j.TimeLimit)):
 				// Slurm reports "ReqNodeNotAvail, Reserved for maintenance".
 				j.Reason = ReasonReqNodeNotAvail
 			case blockedOnResources:
@@ -225,21 +440,20 @@ func (c *Controller) scheduleLocked(now time.Time) {
 			// whole backlog brings up enough capacity in one pass. Jobs
 			// start once the nodes finish booting.
 			if j.Reason == ReasonResources || j.Reason == ReasonPriority {
-				c.autoWakeLocked(j, part, now)
+				c.autoWakeLocked(p, pp, j)
 			}
 			continue
 		}
 		c.startJobLocked(j, nodes, now)
-		runningPerUserQOS[[2]string{j.User, j.QOS}]++
-		cpusInUsePerAccount[j.Account] += j.AllocTRES.CPUs
-		gpusInUsePerAccount[j.Account] += j.AllocTRES.GPUs
+		c.countRunningLocked(p, j)
+		p.gen++
 	}
 }
 
 // priorityLocked computes the multifactor-style priority without the
 // fair-share term: a base plus QOS and partition factors plus an age factor
 // (one point per minute waited). The caller adds the per-account fair-share
-// penalty (see fairSharePenaltyLocked).
+// penalty (see fairSharePenalty).
 func (c *Controller) priorityLocked(j *Job, now time.Time) int64 {
 	p := int64(1000)
 	if q := c.qos[j.QOS]; q != nil {
@@ -255,21 +469,6 @@ func (c *Controller) priorityLocked(j *Job, now time.Time) int64 {
 	return p
 }
 
-// fairSharePenaltyLocked derives the (negative) fair-share factor from the
-// account's accumulated core-hours — heavy accounts slowly lose ground to
-// light ones, a simplified version of Slurm's fair-share. Caller holds c.mu.
-func (c *Controller) fairSharePenaltyLocked(account string) int64 {
-	a := c.dbd.Association(AssocKey{Account: account})
-	if a == nil {
-		return 0
-	}
-	penalty := int64(a.CPUTimeUsed / 200) // one point per 200 core-hours
-	if penalty > 400 {
-		penalty = 400
-	}
-	return -penalty
-}
-
 // perNodeShare splits a job allocation evenly across n nodes, rounding up so
 // the allocation is never undercounted on any node.
 func perNodeShare(t TRES, n int) TRES {
@@ -283,34 +482,34 @@ func perNodeShare(t TRES, n int) TRES {
 	}
 }
 
-// placeLocked finds nodes for the job, or nil when it cannot start now.
+// place finds nodes for the job, or nil when it cannot start now.
 // Single-node jobs take the first schedulable node with room (first-fit over
 // name order keeps placement deterministic); multi-node jobs need N nodes
-// that can each hold an even share. Caller holds c.mu.
-func (c *Controller) placeLocked(j *Job, part *Partition) []string {
-	want := j.ReqTRES.Nodes
-	if want <= 0 {
-		want = 1
-	}
-	now := c.clock.Now()
+// that can each hold an even share. The returned slice is a buffer the
+// pass reuses: valid until the next placement.
+func (p *schedPass) place(pp *passPart, j *Job) []string {
+	want := max(j.ReqTRES.Nodes, 1)
 	share := perNodeShare(j.ReqTRES, want)
-	var chosen []string
-	for _, name := range part.Nodes {
-		n := c.nodes[name]
-		if n == nil || !n.Schedulable() || !n.HasFeatures(j.Constraint) {
+	// No node has more of any resource free than the bound, so a share
+	// that exceeds it fits nowhere.
+	if !share.Fits(p.freeBound(pp)) {
+		return nil
+	}
+	jobEnd := p.now.Add(j.TimeLimit)
+	chosen := p.chosen[:0]
+	for _, e := range pp.nodes {
+		if e.maint.Before(jobEnd) || !share.Fits(e.n.Free()) || !e.n.HasFeatures(j.Constraint) {
 			continue
 		}
-		if c.nodeBlockedByMaintenanceLocked(name, now, j.TimeLimit) {
-			continue
-		}
-		if share.Fits(n.Free()) {
-			chosen = append(chosen, name)
-			if len(chosen) == want {
-				return chosen
-			}
+		if chosen = append(chosen, e.n.Name); len(chosen) == want {
+			break
 		}
 	}
-	return nil
+	p.chosen = chosen
+	if len(chosen) < want {
+		return nil
+	}
+	return chosen
 }
 
 // startJobLocked transitions a pending job to running on the given nodes.
@@ -338,28 +537,12 @@ func (c *Controller) startJobLocked(j *Job, nodes []string, now time.Time) {
 	c.dbd.recordJob(j)
 }
 
-// allNodesMaintBlockedLocked reports whether every schedulable node in the
-// partition that could otherwise host j is unavailable solely because of an
-// upcoming maintenance window. Caller holds c.mu.
-func (c *Controller) allNodesMaintBlockedLocked(j *Job, part *Partition, now time.Time) bool {
-	if len(c.maintWindows) == 0 {
-		return false
-	}
-	blocked := false
-	for _, name := range part.Nodes {
-		n := c.nodes[name]
-		if n == nil || !n.Schedulable() {
-			continue
-		}
-		if c.nodeBlockedByMaintenanceLocked(name, now, j.TimeLimit) {
-			blocked = true
-			continue
-		}
-		// At least one node is free of maintenance constraints; the job is
-		// blocked by capacity, not reservations.
-		return false
-	}
-	return blocked
+// allMaintBlocked reports whether every schedulable node in the partition
+// is unavailable to a job ending at jobEnd solely because of an upcoming
+// maintenance window: there is such a node, and even the latest window
+// start among them falls before jobEnd.
+func (pp *passPart) allMaintBlocked(jobEnd time.Time) bool {
+	return len(pp.nodes) > 0 && pp.latestMaint.Before(jobEnd)
 }
 
 // tryPreemptLocked attempts to free room for j by requeueing running jobs
@@ -368,41 +551,38 @@ func (c *Controller) allNodesMaintBlockedLocked(j *Job, part *Partition, now tim
 // plus the shares of preemptable victims must cover j's per-node share on
 // enough nodes — so victims are only requeued when j will actually start.
 // Returns the chosen node list, or nil. Caller holds c.mu.
-func (c *Controller) tryPreemptLocked(j *Job, part *Partition, now time.Time) []string {
+func (c *Controller) tryPreemptLocked(p *schedPass, pp *passPart, j *Job) []string {
+	// With no victim to requeue, the nodes with room are the ones placement
+	// already found too few of.
+	if p.preemptable == 0 {
+		return nil
+	}
 	// A preemptable job must never preempt others.
 	if q := c.qos[j.QOS]; q != nil && q.Preemptable {
 		return nil
 	}
-	want := j.ReqTRES.Nodes
-	if want <= 0 {
-		want = 1
-	}
+	want := max(j.ReqTRES.Nodes, 1)
 	share := perNodeShare(j.ReqTRES, want)
-	var (
-		chosen  []string
-		victims []*Job
-		seen    = make(map[JobID]bool)
-	)
-	for _, name := range part.Nodes {
-		n := c.nodes[name]
-		if n == nil || !n.Schedulable() || !n.HasFeatures(j.Constraint) {
-			continue
-		}
-		if c.nodeBlockedByMaintenanceLocked(name, now, j.TimeLimit) {
+	jobEnd := p.now.Add(j.TimeLimit)
+	chosen, victims := p.chosen[:0], p.victims[:0]
+	clear(p.seen)
+	for _, e := range pp.nodes {
+		n := e.n
+		if e.maint.Before(jobEnd) || !n.HasFeatures(j.Constraint) {
 			continue
 		}
 		free := n.Free()
 		if share.Fits(free) {
-			chosen = append(chosen, name)
+			chosen = append(chosen, n.Name)
 			if len(chosen) == want {
 				break
 			}
 			continue
 		}
-		var nodeVictims []*Job
+		mark := len(victims)
 		for _, id := range n.RunningJobs {
 			v := c.jobs[id]
-			if v == nil || v.State != StateRunning || seen[v.ID] {
+			if v == nil || v.State != StateRunning || p.seen[v.ID] {
 				continue
 			}
 			q := c.qos[v.QOS]
@@ -410,28 +590,31 @@ func (c *Controller) tryPreemptLocked(j *Job, part *Partition, now time.Time) []
 				continue
 			}
 			free = free.Add(perNodeShare(v.AllocTRES, len(v.Nodes)))
-			nodeVictims = append(nodeVictims, v)
+			victims = append(victims, v)
 			if share.Fits(free) {
 				break
 			}
 		}
-		if share.Fits(free) {
-			chosen = append(chosen, name)
-			for _, v := range nodeVictims {
-				seen[v.ID] = true
-			}
-			victims = append(victims, nodeVictims...)
-			if len(chosen) == want {
-				break
-			}
+		if !share.Fits(free) {
+			victims = victims[:mark]
+			continue
+		}
+		chosen = append(chosen, n.Name)
+		for _, v := range victims[mark:] {
+			p.seen[v.ID] = true
+		}
+		if len(chosen) == want {
+			break
 		}
 	}
+	p.chosen, p.victims = chosen, victims
 	if len(chosen) < want {
 		return nil
 	}
 	for _, v := range victims {
-		c.requeueLocked(v, now)
+		c.requeueLocked(v, p.now)
 	}
+	p.preemptable -= len(victims)
 	return chosen
 }
 

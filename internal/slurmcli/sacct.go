@@ -84,22 +84,23 @@ func runSacct(cl *slurm.Cluster, args []string) (string, error) {
 			if err != nil {
 				return "", err
 			}
+			// Each entry is a job ID N (the job and every task of array N)
+			// or an array task N_T; a record matches when any entry names it.
 			for _, idStr := range strings.Split(v, ",") {
-				// Accept both raw IDs and array "123_4" display IDs.
-				if base, _, ok := strings.Cut(idStr, "_"); ok {
-					idStr = base
-					n, err := strconv.ParseInt(idStr, 10, 64)
-					if err != nil {
-						return "", fmt.Errorf("slurmcli: bad job id %q", idStr)
-					}
-					filter.ArrayJobID = slurm.JobID(n)
-					continue
-				}
-				n, err := strconv.ParseInt(idStr, 10, 64)
+				base, task, isTask := strings.Cut(idStr, "_")
+				n, err := strconv.ParseInt(base, 10, 64)
 				if err != nil {
 					return "", fmt.Errorf("slurmcli: bad job id %q", idStr)
 				}
-				filter.JobIDs = append(filter.JobIDs, slurm.JobID(n))
+				if !isTask {
+					filter.JobIDs = append(filter.JobIDs, slurm.JobID(n))
+					continue
+				}
+				t, err := strconv.Atoi(task)
+				if err != nil {
+					return "", fmt.Errorf("slurmcli: bad job id %q", idStr)
+				}
+				filter.Tasks = append(filter.Tasks, slurm.ArrayTask{ArrayJobID: slurm.JobID(n), TaskID: t})
 			}
 		case "--format":
 			v, err := sc.value(arg)
@@ -349,7 +350,7 @@ type SacctOptions struct {
 	End       time.Time
 	Partition string
 	JobIDs    []slurm.JobID
-	ArrayJob  string // display ID of an array to expand, e.g. "1234_0"'s base
+	ArrayJob  string // array job ID: sacct -j N, job N and every task of array N
 	AllUsers  bool
 	Limit     int
 }
@@ -388,7 +389,7 @@ func Sacct(r Runner, opts SacctOptions) ([]SacctRow, error) {
 			ids = append(ids, strconv.FormatInt(int64(id), 10))
 		}
 		if opts.ArrayJob != "" {
-			ids = append(ids, opts.ArrayJob+"_0")
+			ids = append(ids, opts.ArrayJob)
 		}
 		args = append(args, "-j", strings.Join(ids, ","))
 	}

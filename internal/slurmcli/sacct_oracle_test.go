@@ -273,14 +273,26 @@ func randomSacctArgs(r *rand.Rand, jobs []*slurm.Job) (args []string, f slurm.Jo
 		var ids []string
 		for n := 1 + r.Intn(5); n > 0; n-- {
 			j := pick()
-			switch r.Intn(6) {
+			switch r.Intn(8) {
 			case 0:
 				f.JobIDs = append(f.JobIDs, 777777) // unknown
 				ids = append(ids, "777777")
-			case 1:
+			case 1, 2, 3:
 				if j.ArrayJobID != 0 {
-					f.ArrayJobID = j.ArrayJobID
-					ids = append(ids, j.DisplayID())
+					// "N_T" names one task, "N" the whole array, and a
+					// task past the last names nothing.
+					arr := strconv.FormatInt(int64(j.ArrayJobID), 10)
+					switch r.Intn(3) {
+					case 0:
+						f.Tasks = append(f.Tasks, slurm.ArrayTask{ArrayJobID: j.ArrayJobID, TaskID: j.ArrayTaskID})
+						ids = append(ids, j.DisplayID())
+					case 1:
+						f.JobIDs = append(f.JobIDs, j.ArrayJobID)
+						ids = append(ids, arr)
+					default:
+						f.Tasks = append(f.Tasks, slurm.ArrayTask{ArrayJobID: j.ArrayJobID, TaskID: 99})
+						ids = append(ids, arr+"_99")
+					}
 					continue
 				}
 				fallthrough
@@ -311,7 +323,9 @@ func randomSacctArgs(r *rand.Rand, jobs []*slurm.Job) (args []string, f slurm.Jo
 // formatter: over random job streams and random command lines (every field,
 // any case and padding, -P/-n, --limit, -j with unknown, duplicate and array
 // IDs, filters on every option), runSacct's text and errors are
-// byte-identical to the per-field reference.
+// byte-identical to the per-field reference. The expected filter follows
+// sacct's -j rules: "N_T" is task T of array N, "N" is job N and every task
+// of array N, and a record matches when any entry names it.
 func TestSacctTextMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 2, 3} {
 		cl, clk := oracleSacctCluster(t, seed)

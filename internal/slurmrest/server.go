@@ -281,8 +281,9 @@ func redactJobDetail(d *JobDetail) {
 
 // handleAccounting serves the accounting archive. Query parameters mirror
 // the typed sacct wrapper: user, account (repeatable), state (repeatable),
-// start_time/end_time (unix seconds), partition, job_id (repeatable),
-// array_job, limit.
+// start_time/end_time (unix seconds), partition, job_id (repeatable), limit,
+// and array_job. Like sacct -j N, a job_id or array_job N selects job N and
+// every task of array N.
 func (s *Server) handleAccounting(r *http.Request, p Principal) ([]byte, error) {
 	q := r.URL.Query()
 	filter := slurm.JobFilter{Partition: q.Get("partition")}
@@ -322,7 +323,7 @@ func (s *Server) handleAccounting(r *http.Request, p Principal) ([]byte, error) 
 		if err != nil {
 			return nil, fmt.Errorf("%w: array_job %q", errBadRequest, v)
 		}
-		filter.ArrayJobID = slurm.JobID(id)
+		filter.JobIDs = append(filter.JobIDs, slurm.JobID(id))
 	}
 	if v := q.Get("limit"); v != "" {
 		n, err := strconv.Atoi(v)
@@ -332,22 +333,23 @@ func (s *Server) handleAccounting(r *http.Request, p Principal) ([]byte, error) 
 		filter.Limit = n
 	}
 
-	var resp AccountingResponse
+	// Each stored record converts straight to its wire form: nothing of it
+	// is kept, so it needs no clone.
+	resp := AccountingResponse{Jobs: []AccountingJob{}}
 	_, err := s.cluster.DBD.Handle(r.Context(), "DBD_GET_JOBS_COND", func() (string, error) {
 		now := s.cluster.Ctl.Now()
-		jobs := s.cluster.DBD.Jobs(filter, now)
-		resp.Jobs = make([]AccountingJob, 0, len(jobs))
 		hidden := 0
-		for _, j := range jobs {
+		err := s.cluster.DBD.EachJob(filter, now, func(j *slurm.Job) error {
 			wire := accountingFromJob(j, now)
 			if p.Kind == KindUser && j.User != p.Name {
 				redactAccounting(&wire)
 				hidden++
 			}
 			resp.Jobs = append(resp.Jobs, wire)
-		}
+			return nil
+		})
 		s.countRedacted("accounting", hidden)
-		return "", nil
+		return "", err
 	})
 	if err != nil {
 		return nil, err
